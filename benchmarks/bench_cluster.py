@@ -16,21 +16,16 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import datetime
-import json
-import os
-import subprocess
 
 from repro.cluster import ClusterConfig, ClusterEngine, expected_tokens
 from repro.gpu import H100_80G
 from repro.serving import EngineConfig, LLAMA_3_1_8B, sharegpt_workload
 
+from harness import append_record, default_output
+
 SWEEP = [(tp, dp) for tp in (1, 2, 4) for dp in (1, 2)]
 
-DEFAULT_OUTPUT = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-    "BENCH_cluster.json",
-)
+DEFAULT_OUTPUT = default_output("cluster")
 
 
 def run_sweep(requests, rate, seed, router, topology):
@@ -88,34 +83,11 @@ def main() -> int:
     )
     rows = run_sweep(args.requests, args.rate, args.seed, args.router,
                      args.topology)
-    try:
-        commit = subprocess.check_output(
-            ["git", "rev-parse", "--short", "HEAD"],
-            cwd=os.path.dirname(args.output), text=True,
-        ).strip()
-    except Exception:
-        commit = "unknown"
-    record = {
-        "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(
-            timespec="seconds"
-        ),
-        "commit": commit,
-        "workload": {
-            "requests": args.requests, "rate": args.rate, "seed": args.seed,
-            "router": args.router, "topology": args.topology,
-            "model": "llama-3.1-8b",
-        },
-        "results": rows,
-    }
-    history = []
-    if os.path.exists(args.output):
-        with open(args.output) as f:
-            history = json.load(f)
-    history.append(record)
-    with open(args.output, "w") as f:
-        json.dump(history, f, indent=2)
-        f.write("\n")
-    print(f"appended run #{len(history)} → {args.output}")
+    append_record(args.output, {
+        "requests": args.requests, "rate": args.rate, "seed": args.seed,
+        "router": args.router, "topology": args.topology,
+        "model": "llama-3.1-8b",
+    }, rows)
     return 0 if all(r["token_divergence"] == 0 for r in rows) else 1
 
 

@@ -22,10 +22,6 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import datetime
-import json
-import os
-import subprocess
 
 import numpy as np
 
@@ -42,10 +38,9 @@ from repro.serving import (
     mixed_disagg_workload,
 )
 
-DEFAULT_OUTPUT = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-    "BENCH_disagg.json",
-)
+from harness import append_record, default_output
+
+DEFAULT_OUTPUT = default_output("disagg")
 
 
 def class_latencies(cm) -> dict:
@@ -162,33 +157,10 @@ def main() -> int:
         f"{args.topology} topology"
     )
     rows = run_sweep(args.requests, args.rate, args.seed, args.topology)
-    try:
-        commit = subprocess.check_output(
-            ["git", "rev-parse", "--short", "HEAD"],
-            cwd=os.path.dirname(args.output), text=True,
-        ).strip()
-    except Exception:
-        commit = "unknown"
-    record = {
-        "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(
-            timespec="seconds"
-        ),
-        "commit": commit,
-        "workload": {
-            "requests": args.requests, "rate": args.rate, "seed": args.seed,
-            "topology": args.topology, "model": "llama-3.1-8b",
-        },
-        "results": rows,
-    }
-    history = []
-    if os.path.exists(args.output):
-        with open(args.output) as f:
-            history = json.load(f)
-    history.append(record)
-    with open(args.output, "w") as f:
-        json.dump(history, f, indent=2)
-        f.write("\n")
-    print(f"appended run #{len(history)} → {args.output}")
+    append_record(args.output, {
+        "requests": args.requests, "rate": args.rate, "seed": args.seed,
+        "topology": args.topology, "model": "llama-3.1-8b",
+    }, rows)
     ok = (
         all(r["tokens_lost"] == 0 for r in rows)
         and rows[1]["chatty_itl_p95_improved"]

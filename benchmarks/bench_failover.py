@@ -18,10 +18,6 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import datetime
-import json
-import os
-import subprocess
 
 from repro.cluster import (
     ClusterConfig,
@@ -34,6 +30,8 @@ from repro.faults import FaultPlan
 from repro.gpu import H100_80G
 from repro.serving import EngineConfig, LLAMA_3_1_8B, sharegpt_workload
 
+from harness import append_record, default_output
+
 #: (label, failure mode, failure step, link fault schedule).
 SWEEP = [
     ("crash-early", "crash", 4, ()),
@@ -42,10 +40,7 @@ SWEEP = [
     ("crash-faulty-link", "crash", 6, (0, 1)),
 ]
 
-DEFAULT_OUTPUT = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-    "BENCH_failover.json",
-)
+DEFAULT_OUTPUT = default_output("failover")
 
 
 def run_sweep(requests, rate, seed, topology):
@@ -126,33 +121,10 @@ def main() -> int:
         f"dp=2 least-loaded, {args.topology} topology"
     )
     rows = run_sweep(args.requests, args.rate, args.seed, args.topology)
-    try:
-        commit = subprocess.check_output(
-            ["git", "rev-parse", "--short", "HEAD"],
-            cwd=os.path.dirname(args.output), text=True,
-        ).strip()
-    except Exception:
-        commit = "unknown"
-    record = {
-        "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(
-            timespec="seconds"
-        ),
-        "commit": commit,
-        "workload": {
-            "requests": args.requests, "rate": args.rate, "seed": args.seed,
-            "topology": args.topology, "model": "llama-3.1-8b",
-        },
-        "results": rows,
-    }
-    history = []
-    if os.path.exists(args.output):
-        with open(args.output) as f:
-            history = json.load(f)
-    history.append(record)
-    with open(args.output, "w") as f:
-        json.dump(history, f, indent=2)
-        f.write("\n")
-    print(f"appended run #{len(history)} → {args.output}")
+    append_record(args.output, {
+        "requests": args.requests, "rate": args.rate, "seed": args.seed,
+        "topology": args.topology, "model": "llama-3.1-8b",
+    }, rows)
     return 0 if all(r["tokens_lost"] == 0 for r in rows) else 1
 
 

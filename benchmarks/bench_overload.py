@@ -21,10 +21,6 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import datetime
-import json
-import os
-import subprocess
 
 from repro.cluster import ClusterConfig, ClusterEngine, expected_tokens
 from repro.cluster.router import BreakerConfig
@@ -37,6 +33,8 @@ from repro.serving.overload import (
     slo_attainment,
 )
 
+from harness import append_record, default_output
+
 #: (label, overload-config overrides).  The first row is the tuned
 #: acceptance scenario (the one ``serve --overload`` runs); the others
 #: probe the two big levers — a stricter door and no hedging.
@@ -46,10 +44,7 @@ SWEEP = [
     ("no-hedge", {"hedge": False}),
 ]
 
-DEFAULT_OUTPUT = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-    "BENCH_overload.json",
-)
+DEFAULT_OUTPUT = default_output("overload")
 
 
 def make_overload(seed, tenants, **overrides):
@@ -148,34 +143,11 @@ def main() -> int:
     )
     rows = run_sweep(args.requests, args.rate, args.seed, args.tenants,
                      args.burst)
-    try:
-        commit = subprocess.check_output(
-            ["git", "rev-parse", "--short", "HEAD"],
-            cwd=os.path.dirname(args.output), text=True,
-        ).strip()
-    except Exception:
-        commit = "unknown"
-    record = {
-        "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(
-            timespec="seconds"
-        ),
-        "commit": commit,
-        "workload": {
-            "requests": args.requests, "rate": args.rate, "seed": args.seed,
-            "tenants": args.tenants, "burst": args.burst,
-            "model": "llama-3.1-8b",
-        },
-        "results": rows,
-    }
-    history = []
-    if os.path.exists(args.output):
-        with open(args.output) as f:
-            history = json.load(f)
-    history.append(record)
-    with open(args.output, "w") as f:
-        json.dump(history, f, indent=2)
-        f.write("\n")
-    print(f"appended run #{len(history)} → {args.output}")
+    append_record(args.output, {
+        "requests": args.requests, "rate": args.rate, "seed": args.seed,
+        "tenants": args.tenants, "burst": args.burst,
+        "model": "llama-3.1-8b",
+    }, rows)
     return 0 if all(r["tokens_lost"] == 0 for r in rows) else 1
 
 

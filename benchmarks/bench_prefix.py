@@ -18,21 +18,16 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import datetime
-import json
-import os
-import subprocess
 
 from repro.cluster import ClusterConfig, ClusterEngine, expected_tokens
 from repro.gpu import H100_80G
 from repro.serving import EngineConfig, LLAMA_3_1_8B, shared_prefix_workload
 
+from harness import append_record, default_output
+
 SWEEP = [(tp, dp) for tp in (1, 2) for dp in (1, 2)]
 
-DEFAULT_OUTPUT = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-    "BENCH_prefix.json",
-)
+DEFAULT_OUTPUT = default_output("prefix")
 
 
 def prefill_flops(model, tokens: int) -> float:
@@ -120,34 +115,11 @@ def main() -> int:
     )
     rows = run_sweep(args.requests, args.rate, args.seed, args.router,
                      args.topology)
-    try:
-        commit = subprocess.check_output(
-            ["git", "rev-parse", "--short", "HEAD"],
-            cwd=os.path.dirname(args.output), text=True,
-        ).strip()
-    except Exception:
-        commit = "unknown"
-    record = {
-        "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(
-            timespec="seconds"
-        ),
-        "commit": commit,
-        "workload": {
-            "requests": args.requests, "rate": args.rate, "seed": args.seed,
-            "router": args.router, "topology": args.topology,
-            "model": "llama-3.1-8b",
-        },
-        "results": rows,
-    }
-    history = []
-    if os.path.exists(args.output):
-        with open(args.output) as f:
-            history = json.load(f)
-    history.append(record)
-    with open(args.output, "w") as f:
-        json.dump(history, f, indent=2)
-        f.write("\n")
-    print(f"appended run #{len(history)} → {args.output}")
+    append_record(args.output, {
+        "requests": args.requests, "rate": args.rate, "seed": args.seed,
+        "router": args.router, "topology": args.topology,
+        "model": "llama-3.1-8b",
+    }, rows)
     ok = all(
         r["cold"]["token_divergence"] == 0
         and r["warm"]["token_divergence"] == 0

@@ -82,327 +82,150 @@ def _cmd_generate(args) -> int:
     return 0
 
 
+#: Flags that make ``serve`` cluster-shaped; any mix of them composes into
+#: one :class:`~repro.cluster.ClusterConfig`.
+_CLUSTER_FLAGS = (
+    ("--prefix-cache", lambda a: a.prefix_cache),
+    ("--overload", lambda a: a.overload),
+    ("--disagg", lambda a: a.disagg is not None),
+    ("--fail-replica", lambda a: a.fail_replica is not None),
+    ("--tp", lambda a: a.tp > 1),
+    ("--dp", lambda a: a.dp > 1),
+)
+#: Flags only a single engine honours (engine-level fault plans and the
+#: on-disk journal, which the cluster does not plumb).
+_ENGINE_FLAGS = (
+    ("--chaos", lambda a: a.chaos),
+    ("--crash", lambda a: a.crash > 0),
+    ("--crash-rate", lambda a: a.crash_rate > 0),
+    ("--deadline", lambda a: a.deadline is not None),
+    ("--journal", lambda a: a.journal is not None),
+    ("--trace-csv", lambda a: a.trace_csv is not None),
+)
+
+
+def _flag_conflict(args):
+    """Why this flag mix cannot run as asked, or ``None`` if it can."""
+    cluster = [f for f, on in _CLUSTER_FLAGS if on(args)]
+    engine = [f for f, on in _ENGINE_FLAGS if on(args)]
+    if args.recover:
+        # --recover resumes one journaled engine at the --tp/--dp shape
+        # its snapshot recorded.
+        clash = [f for f in cluster + engine if f not in ("--tp", "--dp", "--journal")]
+        if clash:
+            return f"--recover cannot be combined with {', '.join(clash)}"
+    elif cluster and engine:
+        return (f"single-engine {', '.join(engine)} cannot be combined with "
+                f"cluster-shaped {', '.join(cluster)}")
+    elif args.crash_rate > 0 and not args.crash:
+        return "--crash-rate needs --crash"
+    elif args.journal and not (args.crash or args.checkpoint_every > 0):
+        return "--journal needs --checkpoint-every or --crash"
+    elif args.trace_csv and not args.trace:
+        return "--trace-csv needs --trace"
+    return None
+
+
 def _cmd_serve(args) -> int:
     from repro.core import HeadConfig
-    from repro.gpu import H100_80G
     from repro.serving import (
-        CheckpointConfig, DirectoryStore, EngineConfig, FlashInferBackend,
-        LLAMA_3_1_8B, ServingEngine, TritonBackend, TRTLLMBackend,
-        sharegpt_workload,
+        CheckpointConfig, DirectoryStore, FlashInferBackend, LLAMA_3_1_8B,
+        TritonBackend, TRTLLMBackend, sharegpt_workload,
     )
 
+    conflict = _flag_conflict(args)
+    if conflict:
+        print(f"serve: {conflict}", file=sys.stderr)
+        return 2
     model = LLAMA_3_1_8B
     heads = HeadConfig(model.num_qo_heads, model.num_kv_heads, model.head_dim)
     if args.recover:
         return _serve_recover(args, model, heads)
-    if args.prefix_cache:
-        return _serve_prefix(args, model)
-    if args.overload:
-        return _serve_overload(args, model)
-    if args.disagg:
-        return _serve_disagg(args, model)
-    if args.tp > 1 or args.dp > 1 or args.fail_replica is not None:
+    if any(on(args) for _, on in _CLUSTER_FLAGS):
         return _serve_cluster(args, model)
     requests = sharegpt_workload(args.requests, args.rate, seed=args.seed)
     if args.crash:
         return _serve_crash(args, model, heads, requests)
     print(f"{args.requests} ShareGPT-like requests at {args.rate} req/s, {model.name} on H100")
     for make in (FlashInferBackend, TritonBackend, TRTLLMBackend):
-        backend = make(heads, H100_80G)
         # The FlashInfer run (the system under test) carries the tracer —
-        # unless --chaos is on, in which case the chaos run below gets it.
-        tracer = None
-        if args.trace and make is FlashInferBackend and not args.chaos:
-            from repro.obs import StepTracer
-
-            tracer = StepTracer()
-        # Checkpointing only instruments the system under test; the
-        # competitor backends stay on the plain hot path.
+        # unless --chaos is on, in which case the chaos run below gets it —
+        # and the checkpointing; the competitors stay on the plain hot path.
+        sut = make is FlashInferBackend
+        tracer = _tracer(args) if sut and not args.chaos else None
         ckpt = store = None
-        if args.checkpoint_every > 0 and make is FlashInferBackend:
+        if args.checkpoint_every > 0 and sut:
             ckpt = CheckpointConfig(every_steps=args.checkpoint_every)
-            if args.journal:
-                store = DirectoryStore(args.journal)
-        engine = ServingEngine(
-            model, backend, H100_80G,
-            EngineConfig(max_running=256, policy=args.policy), tracer=tracer,
-            checkpoint=ckpt, checkpoint_store=store,
-        )
+            store = DirectoryStore(args.journal) if args.journal else None
+        engine = _engine(args, model, heads, make, tracer=tracer,
+                         checkpoint=ckpt, checkpoint_store=store)
         s = engine.run(requests).summary()
-        print(
-            f"  {backend.name:>10s}: ITL {s['median_itl'] * 1e3:6.2f} ms, "
-            f"TTFT {s['median_ttft'] * 1e3:6.1f} ms, "
-            f"P99 TTFT {s['p99_ttft'] * 1e3:5.0f} ms"
-        )
+        print(f"  {engine.backend.name:>10s}: ITL {s['median_itl'] * 1e3:6.2f} ms, "
+              f"TTFT {s['median_ttft'] * 1e3:6.1f} ms, "
+              f"P99 TTFT {s['p99_ttft'] * 1e3:5.0f} ms")
         if ckpt is not None:
-            print(
-                f"             checkpoints: {int(s['ckpt_snapshots'])} snapshots, "
-                f"{int(s['ckpt_journal_records'])} journal records"
-                + (f" → {args.journal}" if args.journal else " (in memory)")
-            )
+            print(f"             checkpoints: {int(s['ckpt_snapshots'])} snapshots, "
+                  f"{int(s['ckpt_journal_records'])} journal records"
+                  + (f" → {args.journal}" if args.journal else " (in memory)"))
         if tracer is not None:
-            from repro.obs import summary_table, write_chrome_trace, write_csv
-
-            write_chrome_trace(
-                args.trace, tracer.events,
-                metadata={"model": model.name, "backend": backend.name,
-                          "requests": args.requests, "rate": args.rate},
-            )
-            print(f"\n  step trace → {args.trace} (load in chrome://tracing or Perfetto)")
-            if args.trace_csv:
-                write_csv(args.trace_csv, tracer.events)
-                print(f"  step log   → {args.trace_csv}")
-            print("\n" + summary_table(tracer) + "\n")
-
+            _write_trace(args, model, tracer, "\n  step trace",
+                         "load in chrome://tracing or Perfetto")
     if args.chaos:
         return _serve_chaos(args, model, heads, requests)
     return 0
 
 
-def _serve_cluster(args, model) -> int:
-    """The ``serve --tp N --dp M`` pass: run the workload on a simulated
-    multi-GPU cluster, verify token-exactness against a single-GPU
-    reference run, and report cluster/replica/link utilization.  With
-    ``--fail-replica`` the run also kills (or drains) replica 0 mid-run
-    and recovers it through the failover pipeline: heartbeat detection,
-    live KV migration to a healthy replica over priced links, and a
-    token-exact takeover resume."""
-    from repro.cluster import (
-        ClusterConfig,
-        ClusterEngine,
-        FailoverConfig,
-        ReplicaFailure,
-        expected_tokens,
-    )
+def _engine(args, model, heads, make=None, resilient=False, **kwargs):
+    """One single-GPU H100 engine (FlashInfer unless ``make`` says otherwise)
+    at the CLI's scheduling knobs; ``resilient`` adds the deadline/retry
+    layer the chaos and crash passes run under."""
     from repro.gpu import H100_80G
-    from repro.serving import EngineConfig, sharegpt_workload
+    from repro.serving import EngineConfig, FlashInferBackend, ServingEngine
 
-    failure = None
-    if args.fail_replica is not None:
-        step, _, mode = str(args.fail_replica).partition(":")
-        failure = ReplicaFailure(int(step), mode or "crash")
+    if resilient:
+        from repro.faults import ResilienceConfig
 
-    requests = sharegpt_workload(args.requests, args.rate, seed=args.seed)
-    cfg = ClusterConfig(
-        tp=args.tp, dp=args.dp, topology=args.topology, router=args.router,
-        engine=EngineConfig(max_running=256, policy=args.policy),
-        checkpoint_every=args.checkpoint_every,
-        failover=FailoverConfig() if failure is not None else None,
+        kwargs["resilience"] = ResilienceConfig(deadline=args.deadline,
+                                                max_retries=args.max_retries)
+    return ServingEngine(
+        model, (make or FlashInferBackend)(heads, H100_80G), H100_80G,
+        EngineConfig(max_running=256, policy=args.policy), **kwargs,
     )
-    cluster = ClusterEngine(
-        model, H100_80G, cfg, trace=bool(args.trace),
-        replica_failures={0: failure} if failure is not None else None,
-    )
-    print(
-        f"{args.requests} ShareGPT-like requests at {args.rate} req/s, "
-        f"{model.name} on a {args.tp * args.dp}-GPU H100 cluster "
-        f"(tp={args.tp}, dp={args.dp}, {args.topology} topology, "
-        f"{args.router} router)"
-    )
-    if failure is not None:
-        print(
-            f"  failover  : replica 0 scripted to {failure.mode} at engine "
-            f"step {failure.step} (heartbeat detection + live KV migration)"
-        )
-    reference = cluster.run_reference(requests)
-    cm = cluster.run(requests)
-    s = cm.summary()
-    print(
-        f"  cluster   : {s['cluster_total_time'] * 1e3:8.1f} ms makespan, "
-        f"{s['cluster_throughput_tok_s']:7.0f} tok/s, "
-        f"{int(s['cluster_output_tokens'])} tokens, "
-        f"{int(s['cluster_preemptions'])} preemptions"
-    )
-    print(
-        f"  latency   : p50_ttft={s['cluster_p50_ttft'] * 1e3:.2f}ms "
-        f"p95_ttft={s['cluster_p95_ttft'] * 1e3:.2f}ms "
-        f"p99_ttft={s['cluster_p99_ttft'] * 1e3:.2f}ms | "
-        f"p50_itl={s['cluster_p50_itl'] * 1e3:.2f}ms "
-        f"p95_itl={s['cluster_p95_itl'] * 1e3:.2f}ms "
-        f"p99_itl={s['cluster_p99_itl'] * 1e3:.2f}ms"
-    )
-    for i in range(args.dp):
-        print(
-            f"  replica {i} : {int(s[f'replica{i}_requests']):3d} requests, "
-            f"{s[f'replica{i}_total_time'] * 1e3:8.1f} ms, "
-            f"{s[f'replica{i}_throughput_tok_s']:7.0f} tok/s, "
-            f"{s[f'replica{i}_utilization']:6.1%} of makespan"
-        )
-    if "link_utilization" in s:
-        print(
-            f"  interconnect: {s['link_bytes'] / 1e9:.2f} GB on the wire, "
-            f"{s['link_utilization']:.1%} busy "
-            f"({cluster.topology.link.name}, "
-            f"{int(s['link_degradations'])} degradation windows)"
-        )
-    if failure is not None:
-        print(
-            f"  failover  : detected in {s['failover_detect_s'] * 1e3:.1f} ms, "
-            f"recovered in {s['failover_recovery_s'] * 1e3:.1f} ms "
-            f"({int(s['failover_transitions'])} health transitions, "
-            f"{int(s['failover_inflight_migrated'])} in-flight streams "
-            f"carried over, {int(s['failover_fallbacks'])} fallbacks)"
-        )
-        print(
-            f"  migration : migration_pages={int(s['migration_pages'])} in "
-            f"{int(s['migration_chunks'])} chunks, "
-            f"{s['migration_bytes'] / 1e6:.2f} MB wire "
-            f"({int(s['migration_retries'])} link retries, "
-            f"link_migration_bytes={int(s.get('link_migration_bytes', 0))})"
-        )
-    if args.dp > 1:
-        base = ClusterEngine(
-            model, H100_80G,
-            ClusterConfig(
-                tp=args.tp, dp=1, topology=args.topology, router=args.router,
-                engine=EngineConfig(max_running=256, policy=args.policy),
-            ),
-        ).run(requests)
-        speedup = (
-            cm.throughput_tokens_per_s() / base.throughput_tokens_per_s()
-            if base.throughput_tokens_per_s() > 0 else float("nan")
-        )
-        print(f"  dp_speedup={speedup:.2f} (vs dp=1 at tp={args.tp})")
-    divergent, compared = cm.token_divergence(expected_tokens(reference))
-    print(
-        f"  token_divergence={divergent} "
-        f"({compared} streams compared vs single-GPU reference)"
-    )
-    if args.trace:
-        from repro.obs import write_cluster_trace
-
-        write_cluster_trace(
-            args.trace, cluster.trace_processes(),
-            metadata={"model": model.name, "tp": args.tp, "dp": args.dp,
-                      "topology": args.topology, "router": args.router,
-                      "requests": args.requests, "rate": args.rate},
-        )
-        print(f"  cluster trace → {args.trace} "
-              f"({args.dp} replica process rows, shared simulated clock)")
-    return 0 if divergent == 0 else 1
 
 
-def _serve_disagg(args, model) -> int:
-    """The ``serve --disagg prefill=N,decode=M`` pass: split the dp pool
-    into dedicated prefill and decode replicas, run a mixed long-prompt +
-    chatty workload, ship every finished prompt's live KV pages to its
-    paired decode replica over priced ``handoff`` links, and verify the
-    resumed streams token-exact against a single-GPU reference run."""
-    from repro.cluster import (
-        ClusterConfig,
-        ClusterEngine,
-        expected_tokens,
-        parse_roles,
-    )
-    from repro.gpu import H100_80G
-    from repro.serving import EngineConfig, mixed_disagg_workload
+def _tracer(args):
+    from repro.obs import StepTracer
 
-    counts = {}
-    for part in str(args.disagg).split(","):
-        key, _, value = part.partition("=")
-        counts[key.strip()] = int(value) if value else 0
-    dp = sum(counts.values())
-    prefill_ids, decode_ids = parse_roles(args.disagg, dp)
-
-    requests = mixed_disagg_workload(args.requests, args.rate, seed=args.seed)
-    long_prompts = sum(1 for r in requests if r.prompt_len >= 512)
-    engine_cfg = EngineConfig(
-        max_running=256, policy=args.policy,
-        chunked_prefill=True, composable=True,
-    )
-    cfg = ClusterConfig(
-        tp=args.tp, dp=dp, topology=args.topology, roles=args.disagg,
-        engine=engine_cfg,
-    )
-    cluster = ClusterEngine(model, H100_80G, cfg)
-    print(
-        f"{len(requests)} mixed requests ({long_prompts} long-prompt, "
-        f"{len(requests) - long_prompts} chatty) at {args.rate} req/s, "
-        f"{model.name} on a {args.tp * dp}-GPU H100 cluster "
-        f"(disaggregated: prefill={list(prefill_ids)}, "
-        f"decode={list(decode_ids)}, {args.topology} topology)"
-    )
-    reference = cluster.run_reference(requests)
-    cm = cluster.run(requests)
-    s = cm.summary()
-    print(
-        f"  cluster   : {s['cluster_total_time'] * 1e3:8.1f} ms makespan, "
-        f"{s['cluster_throughput_tok_s']:7.0f} tok/s, "
-        f"{int(s['cluster_output_tokens'])} tokens"
-    )
-    for i in range(dp):
-        role = "prefill" if i in prefill_ids else "decode"
-        print(
-            f"  replica {i} : {role:>7s}, "
-            f"{int(s[f'replica{i}_requests']):3d} requests, "
-            f"{s[f'replica{i}_total_time'] * 1e3:8.1f} ms, "
-            f"{s[f'replica{i}_throughput_tok_s']:7.0f} tok/s"
-        )
-    print(
-        f"  handoff   : handoff_requests={int(s['handoff_requests'])} "
-        f"handoff_pages={int(s['handoff_pages'])} "
-        f"handoff_bytes={int(s['handoff_bytes'])} "
-        f"handoff_chunks={int(s['handoff_chunks'])} "
-        f"handoff_retries={int(s['handoff_retries'])} "
-        f"handoff_pages_skipped={int(s['handoff_pages_skipped'])}"
-    )
-    print(
-        f"  interconnect: "
-        f"link_handoff_bytes={int(s.get('link_handoff_bytes', 0))} "
-        f"({s['handoff_transfer_s'] * 1e3:.2f} ms on the wire, "
-        f"{cluster.topology.link.name})"
-    )
-    print(
-        f"  ttft      : p50_ttft={s['cluster_p50_ttft'] * 1e3:.2f}ms "
-        f"p95_ttft={s['cluster_p95_ttft'] * 1e3:.2f}ms "
-        f"p99_ttft={s['cluster_p99_ttft'] * 1e3:.2f}ms"
-    )
-    print(
-        f"  itl       : p50_itl={s['cluster_p50_itl'] * 1e3:.2f}ms "
-        f"p95_itl={s['cluster_p95_itl'] * 1e3:.2f}ms "
-        f"p99_itl={s['cluster_p99_itl'] * 1e3:.2f}ms"
-    )
-    divergent, compared = cm.token_divergence(expected_tokens(reference))
-    print(
-        f"  token_divergence={divergent} "
-        f"({compared} streams compared vs single-GPU reference)"
-    )
-    ok = divergent == 0 and int(s["handoff_requests"]) > 0
-    return 0 if ok else 1
+    return StepTracer() if args.trace else None
 
 
-def _serve_overload(args, model) -> int:
-    """The ``serve --overload`` pass: drive a bursty multi-tenant workload
-    at a multiple of cluster capacity through the overload-hardened front
-    door (per-tenant token buckets + client retries), per-replica circuit
-    breakers, hedged prefill and the SLO-driven brownout ladder — then run
-    the *same trace* without the overload layer and report the SLO
-    attainment delta.  Accepted streams are verified token-exact against
-    an uncontended single-GPU reference (brownout-clamped streams must be
-    exact prefixes)."""
-    from repro.cluster import ClusterConfig, ClusterEngine, expected_tokens
+def _write_trace(args, model, tracer, head, note, table=True, **meta) -> None:
+    """Write a single-engine run's Chrome trace (plus the CSV step log under
+    ``--trace-csv``), say where they went, and print the step summary."""
+    from repro.obs import summary_table, write_chrome_trace, write_csv
+
+    write_chrome_trace(
+        args.trace, tracer.events,
+        metadata={"model": model.name, "backend": "flashinfer",
+                  "requests": args.requests, "rate": args.rate, **meta},
+        fault_events=tracer.fault_events,
+    )
+    print(f"{head} → {args.trace} ({note})")
+    if args.trace_csv:
+        write_csv(args.trace_csv, tracer.events)
+        lead = head.lstrip("\n")  # align the arrow under the trace line's
+        width = len(lead.lstrip())
+        print(f"{lead[:len(lead) - width]}{'step log':<{width}} → {args.trace_csv}")
+    if table:
+        print("\n" + summary_table(tracer) + "\n")
+
+
+def _tuned_overload(args):
+    """The overload drill's tuned front door, breakers and brownout ladder."""
     from repro.cluster.router import BreakerConfig
-    from repro.faults import FaultPlan
-    from repro.gpu import H100_80G
-    from repro.serving import EngineConfig, bursty_workload
-    from repro.serving.overload import (
-        OverloadConfig,
-        overload_token_divergence,
-        slo_attainment,
-    )
+    from repro.serving.overload import OverloadConfig
 
-    dp = max(args.dp, 2)
-    requests = bursty_workload(
-        args.requests, args.rate, seed=args.seed, tenants=args.tenants,
-        burst=args.burst, burst_len=0.25, burst_every=0.6,
-    )
-    offered = len(requests)
-    span = requests[-1].arrival if requests else 0.0
-    engine_cfg = EngineConfig(
-        max_running=16, chunked_prefill=True, composable=True,
-        prefill_chunk_size=256, policy=args.policy,
-    )
-    overload = OverloadConfig(
+    return OverloadConfig(
         tenants=args.tenants, admit_rate=24.0, burst_capacity=8.0,
         max_client_retries=5, retry_budget=2.0, retry_base=0.08,
         seed=args.seed, slo_ttft=0.4, engage_after=25, anneal_after=60,
@@ -410,207 +233,236 @@ def _serve_overload(args, model) -> int:
         breaker=BreakerConfig(fail_threshold=3, cooldown=0.25,
                               probe_successes=2, pressure_threshold=0.5),
     )
-    print(
-        f"{offered} bursty requests ({args.tenants} tenants, {args.burst:g}x "
-        f"bursts) in {span:.2f} s, {model.name} on a dp={dp} H100 cluster "
-        f"({args.router} router, overload front door armed)"
-    )
-
-    cluster = ClusterEngine(
-        model, H100_80G,
-        ClusterConfig(dp=dp, topology=args.topology, router=args.router,
-                      engine=engine_cfg, overload=overload),
-        fault_plan=FaultPlan(seed=args.seed, timeout_rate=0.08),
-    )
-    reference = cluster.run_reference(requests)
-    cm = cluster.run(requests)
-    s = cm.summary()
-
-    # Same trace, no overload layer: the control arm for the SLO delta.
-    baseline = ClusterEngine(
-        model, H100_80G,
-        ClusterConfig(dp=dp, topology=args.topology, router=args.router,
-                      engine=engine_cfg),
-    ).run(requests)
-    base_met, base_frac = slo_attainment(baseline, offered, overload.slo_ttft)
-
-    print(
-        f"  front door: overload_offered={int(s['overload_offered'])} "
-        f"overload_admitted={int(s['overload_admitted'])} "
-        f"overload_rejected={int(s['overload_rejected'])} "
-        f"overload_retries={int(s['overload_retries'])} "
-        f"overload_dropped={int(s['overload_dropped'])}"
-    )
-    print(
-        f"  breakers  : breaker_open_total={int(s['breaker_open_total'])} "
-        f"breaker_half_open_total={int(s['breaker_half_open_total'])} "
-        f"breaker_close_total={int(s['breaker_close_total'])} "
-        f"(timeouts={int(s['overload_timeouts'])}, "
-        f"reroutes={int(s['overload_reroutes'])})"
-    )
-    print(
-        f"  brownout  : brownout_engaged={int(s['brownout_engaged'])} "
-        f"brownout_annealed={int(s['brownout_annealed'])} "
-        f"peak_level={int(s['brownout_peak_level'])} "
-        f"final_level={int(s['brownout_final_level'])}"
-    )
-    print(
-        f"  hedging   : hedged_prefills={int(s['hedged_prefills'])} "
-        f"hedge_wins={int(s['hedge_wins'])}"
-    )
-    print(
-        f"  slo_attainment={s['slo_attainment']:.3f} "
-        f"(baseline {base_frac:.3f} without the overload layer, "
-        f"TTFT <= {overload.slo_ttft:g} s, drops count as misses)"
-    )
-    divergent, compared = overload_token_divergence(
-        cm, expected_tokens(reference)
-    )
-    print(
-        f"  token_divergence={divergent} "
-        f"({compared} accepted streams compared vs uncontended reference)"
-    )
-    return 0 if divergent == 0 else 1
 
 
-def _serve_prefix(args, model) -> int:
-    """The ``serve --prefix-cache`` pass: serve a shared-prefix workload
-    cold (no cache) and warm (radix prefix cache + cascade attention),
-    verify both against the single-GPU token oracle, and report the
-    prefill work the cache removed."""
+_OVERLOAD_ON = lambda a, s: "overload_offered" in s
+
+#: The cluster report: ``(label, shown?, fields)`` rows of greppable
+#: ``name=value`` tokens; a field is a summary key printed as an int, or
+#: ``(name, summary key, format)``.  The cache and overload drills report
+#: their control comparison instead of latency percentiles.
+_ROWS = (
+    ("latency", lambda a, s: not (a.prefix_cache or a.overload),
+     [(f"p{q}_{m}", f"cluster_p{q}_{m}", "ms") for m in ("ttft", "itl") for q in (50, 95, 99)]),
+    ("prefix", lambda a, s: a.prefix_cache,
+     [("radix_hit_tokens", "cluster_radix_hit_tokens", "d"),
+      ("prefill_flops_saved", "prefill_flops_saved", ".3e"),
+      ("cascade_hbm_bytes_saved", "cluster_cascade_bytes_saved", ".3e"),
+      ("cascade_steps", "cluster_cascade_steps", "d")]),
+    ("handoff", lambda a, s: "handoff_requests" in s,
+     ["handoff_requests", "handoff_pages", "handoff_bytes", "handoff_chunks",
+      "handoff_retries", "handoff_pages_skipped", "link_handoff_bytes"]),
+    ("migration", lambda a, s: "migration_pages" in s,
+     ["migration_pages", "link_migration_bytes"]),
+    ("front door", _OVERLOAD_ON, [f"overload_{k}" for k in (
+        "offered", "admitted", "rejected", "retries", "dropped")]),
+    ("breakers", _OVERLOAD_ON,
+     ["breaker_open_total", "breaker_half_open_total", "breaker_close_total",
+      ("timeouts", "overload_timeouts", "d"), ("reroutes", "overload_reroutes", "d")]),
+    ("brownout", _OVERLOAD_ON,
+     ["brownout_engaged", "brownout_annealed", ("peak_level", "brownout_peak_level", "d"),
+      ("final_level", "brownout_final_level", "d")]),
+    ("hedging", _OVERLOAD_ON, ["hedged_prefills", "hedge_wins"]),
+)
+
+
+def _token(s, field) -> str:
+    name, key, spec = field if isinstance(field, tuple) else (field, field, "d")
+    value = s.get(key, 0)
+    if spec == "ms":
+        return f"{name}={value * 1e3:.2f}ms"
+    return f"{name}={format(int(value) if spec == 'd' else value, spec)}"
+
+
+def _serve_cluster(args, model) -> int:
+    """Every cluster-shaped run: one :class:`~repro.cluster.ClusterConfig`
+    composed from all the flags, checked token-exact against a single-GPU
+    oracle, next to at most one control arm that is a
+    ``dataclasses.replace`` of it — a cold cache under ``--prefix-cache``,
+    no overload layer under ``--overload``, else dp=1 for a colocated
+    dp > 1 run."""
     import dataclasses
 
-    from repro.cluster import ClusterConfig, ClusterEngine, expected_tokens
+    from repro.cluster import (
+        ClusterConfig, ClusterEngine, FailoverConfig, ReplicaFailure,
+        expected_tokens, parse_roles,
+    )
+    from repro.faults import FaultPlan
     from repro.gpu import H100_80G
-    from repro.serving import EngineConfig, shared_prefix_workload
+    from repro.serving import (
+        EngineConfig, bursty_workload, mixed_disagg_workload,
+        shared_prefix_workload, sharegpt_workload,
+    )
+    from repro.serving.overload import overload_token_divergence, slo_attainment
 
-    requests = shared_prefix_workload(args.requests, args.rate, seed=args.seed)
-    shared = sum(r.prefix_len for r in requests)
-    total = sum(r.prompt_len for r in requests)
-    warm_engine = EngineConfig(
-        max_running=256, policy=args.policy, chunked_prefill=True,
-        prefix_cache=True, composable=True,
-    )
-    cfg = ClusterConfig(
-        tp=args.tp, dp=args.dp, topology=args.topology, router=args.router,
-        engine=warm_engine, checkpoint_every=args.checkpoint_every,
-    )
-    print(
-        f"{args.requests} shared-prefix requests at {args.rate} req/s "
-        f"({shared / total:.0%} of prompt tokens shared), {model.name} on a "
-        f"{args.tp * args.dp}-GPU H100 cluster (tp={args.tp}, dp={args.dp}, "
-        f"{args.router} router)"
-    )
-    cold_cfg = dataclasses.replace(
-        cfg,
-        engine=dataclasses.replace(warm_engine, prefix_cache=False, composable=False),
-    )
-    cold_cluster = ClusterEngine.from_config(cold_cfg, model=model, gpu=H100_80G)
-    # The oracle is the cold-cache single-GPU run: the warm cluster must
-    # reproduce its tokens exactly for caching to be timing-only.
-    oracle = expected_tokens(cold_cluster.run_reference(requests))
-    cold = cold_cluster.run(requests)
-    warm = ClusterEngine.from_config(cfg, model=model, gpu=H100_80G).run(requests)
-    cs, ws = cold.summary(), warm.summary()
+    roles = failure = None
+    try:
+        if args.disagg is not None:
+            # The role pools size the cluster; an explicit --dp must agree.
+            roles = parse_roles(args.disagg, args.dp if args.dp > 1 else None)
+        if args.fail_replica is not None:
+            step, _, mode = args.fail_replica.partition(":")
+            if not step.isdigit():
+                raise ValueError(f"--fail-replica expects STEP[:crash|drain], "
+                                 f"got {args.fail_replica!r}")
+            failure = ReplicaFailure(int(step), mode or "crash")
+        dp = (len(roles[0]) + len(roles[1]) if roles
+              else max(args.dp, 2) if args.overload else args.dp)
+        features = {}
+        if args.prefix_cache or args.overload or args.disagg:
+            features.update(chunked_prefill=True, composable=True)
+        if args.prefix_cache:
+            features["prefix_cache"] = True
+        if args.overload:
+            features.update(max_running=16, prefill_chunk_size=256)
+        engine = EngineConfig(**{"max_running": 256, "policy": args.policy, **features})
+        cfg = ClusterConfig(
+            tp=args.tp, dp=dp, topology=args.topology, router=args.router,
+            engine=engine, checkpoint_every=args.checkpoint_every,
+            failover=FailoverConfig() if failure else None,
+            overload=_tuned_overload(args) if args.overload else None,
+            roles=args.disagg,
+        )
+        cluster = ClusterEngine(
+            model, H100_80G, cfg, trace=bool(args.trace),
+            replica_failures={0: failure} if failure else None,
+            fault_plan=FaultPlan(seed=args.seed, timeout_rate=0.08) if args.overload else None,
+        )
+    except ValueError as exc:
+        print(f"serve: {exc}", file=sys.stderr)
+        return 2
 
-    hit = int(ws.get("cluster_radix_hit_tokens", 0))
-    flops_saved = model.num_layers * model.layer_gemm_flops(hit)
-    bytes_saved = ws.get("cluster_cascade_bytes_saved", 0.0)
-    print(
-        f"  cold   : {cs['cluster_total_time'] * 1e3:8.1f} ms makespan, "
-        f"{cs['cluster_throughput_tok_s']:7.0f} tok/s, "
-        f"{total} prompt tokens prefilled"
-    )
-    print(
-        f"  warm   : {ws['cluster_total_time'] * 1e3:8.1f} ms makespan, "
-        f"{ws['cluster_throughput_tok_s']:7.0f} tok/s, "
-        f"{total - hit} prompt tokens prefilled"
-    )
-    print(
-        f"  radix_hit_tokens={hit} "
-        f"({hit / total:.0%} of prompt tokens served from cache)"
-    )
-    print(
-        f"  prefill_flops_saved={flops_saved:.3e} "
-        f"cascade_hbm_bytes_saved={bytes_saved:.3e} "
-        f"cascade_steps={int(ws.get('cluster_cascade_steps', 0))}"
-    )
-    cold_div, cold_cmp = cold.token_divergence(oracle)
-    warm_div, warm_cmp = warm.token_divergence(oracle)
-    divergent = cold_div + warm_div
-    print(
-        f"  token_divergence={divergent} "
-        f"(cold {cold_div}/{cold_cmp}, warm {warm_div}/{warm_cmp} streams "
-        f"vs cold single-GPU reference)"
-    )
-    ok = divergent == 0 and hit > 0
+    n, rate, seed = args.requests, args.rate, args.seed
+    if args.prefix_cache:
+        requests = shared_prefix_workload(n, rate, seed=seed)
+        shared = sum(r.prefix_len for r in requests) / sum(r.prompt_len for r in requests)
+        what = (f"{n} shared-prefix requests at {rate} req/s "
+                f"({shared:.0%} of prompt tokens shared)")
+    elif args.overload:
+        requests = bursty_workload(n, rate, seed=seed, tenants=args.tenants,
+                                   burst=args.burst, burst_len=0.25, burst_every=0.6)
+        span = requests[-1].arrival if requests else 0.0
+        what = (f"{len(requests)} bursty requests ({args.tenants} tenants, "
+                f"{args.burst:g}x bursts) in {span:.2f} s")
+    elif args.disagg:
+        requests = mixed_disagg_workload(n, rate, seed=seed)
+        long_prompts = sum(1 for r in requests if r.prompt_len >= 512)
+        what = (f"{len(requests)} mixed requests ({long_prompts} long-prompt, "
+                f"{len(requests) - long_prompts} chatty) at {rate} req/s")
+    else:
+        requests = sharegpt_workload(n, rate, seed=seed)
+        what = f"{n} ShareGPT-like requests at {rate} req/s"
+    if roles:
+        shape = f"disaggregated: prefill={list(roles[0])}, decode={list(roles[1])}"
+    elif args.overload and args.tp == 1:
+        shape = f"dp={dp}"  # the drill is data-parallel unless --tp says otherwise
+    else:
+        shape = f"tp={args.tp}, dp={dp}"
+    print(f"{what}, {model.name} on a {args.tp * dp}-GPU H100 cluster ({shape}, "
+          f"{args.topology} topology, {cluster.router.name} router"
+          f"{', overload front door armed' if args.overload else ''})")
+
+    control = None
+    if args.prefix_cache:
+        control = ("cold cache", dataclasses.replace(
+            cfg, engine=dataclasses.replace(engine, prefix_cache=False, composable=False)))
+    elif args.overload:
+        control = ("no overload", dataclasses.replace(cfg, overload=None))
+    elif dp > 1 and roles is None:
+        control = ("dp=1", dataclasses.replace(cfg, dp=1, failover=None))
+    control_cluster = ClusterEngine(model, H100_80G, control[1]) if control else cluster
+    # The oracle is the control arm's engine on one GPU (the cold cache
+    # under --prefix-cache): caching, routing, failover and overload
+    # control must all be timing-only.
+    oracle = expected_tokens(control_cluster.run_reference(requests))
+    arms = [("cluster", cluster.run(requests))]
+    if control:
+        arms.append((control[0], control_cluster.run(requests)))
+    cm = arms[0][1]
+    s = cm.summary()
+    hit = int(s.get("cluster_radix_hit_tokens", 0))
+    s["prefill_flops_saved"] = model.num_layers * model.layer_gemm_flops(hit)
+
+    for label, m in arms:
+        ms = m.summary()
+        print(f"  {label:<11s}: {ms['cluster_total_time'] * 1e3:8.1f} ms makespan, "
+              f"{ms['cluster_throughput_tok_s']:7.0f} tok/s, "
+              f"{int(ms['cluster_output_tokens'])} tokens, "
+              f"{int(ms['cluster_preemptions'])} preemptions")
+    for i in range(dp):
+        role = f"{'prefill' if i in roles[0] else 'decode':>7s}, " if roles else ""
+        print(f"  replica {i} : {role}{int(s[f'replica{i}_requests']):3d} requests, "
+              f"{s[f'replica{i}_total_time'] * 1e3:8.1f} ms, "
+              f"{s[f'replica{i}_throughput_tok_s']:7.0f} tok/s, "
+              f"{s[f'replica{i}_utilization']:6.1%} of makespan")
+    if "link_utilization" in s:
+        print(f"  interconnect: {s['link_bytes'] / 1e9:.2f} GB on the wire, "
+              f"{s['link_utilization']:.1%} busy ({cluster.topology.link.name}, "
+              f"{int(s['link_degradations'])} degradation windows)")
+    if failure is not None:
+        print(f"  failover  : replica 0 {failure.mode} at step {failure.step} detected "
+              f"in {s['failover_detect_s'] * 1e3:.1f} ms, recovered in "
+              f"{s['failover_recovery_s'] * 1e3:.1f} ms "
+              f"({int(s['failover_inflight_migrated'])} in-flight streams carried "
+              f"over, {int(s['failover_fallbacks'])} fallbacks)")
+    for label, shown, fields in _ROWS:
+        if shown(args, s):
+            print(f"  {label:<10s}: " + " ".join(_token(s, f) for f in fields))
+    if control and control[0] == "dp=1":
+        base = arms[1][1].throughput_tokens_per_s()
+        speedup = cm.throughput_tokens_per_s() / base if base > 0 else float("nan")
+        print(f"  dp_speedup={speedup:.2f} (vs dp=1 at tp={args.tp})")
+    if args.overload:
+        slo, baseline = cfg.overload.slo_ttft, ""
+        if control[0] == "no overload":
+            base_frac = slo_attainment(arms[1][1], len(requests), slo)[1]
+            baseline = f"baseline {base_frac:.3f} without the overload layer, "
+        print(f"  slo_attainment={s['slo_attainment']:.3f} "
+              f"({baseline}TTFT <= {slo:g} s, drops count as misses)")
+    counts = [overload_token_divergence(m, oracle) for _, m in arms]
+    divergent = sum(d for d, _ in counts)
+    details = ", ".join(f"{label} {d}/{c}" for (label, _), (d, c) in zip(arms, counts))
+    print(f"  token_divergence={divergent} ({details} streams vs single-GPU reference)")
+    if args.trace:
+        from repro.obs import write_cluster_trace
+
+        write_cluster_trace(args.trace, cluster.trace_processes(), metadata={
+            "model": model.name, "tp": args.tp, "dp": dp, "topology": args.topology,
+            "router": args.router, "requests": args.requests, "rate": args.rate})
+        print(f"  cluster trace → {args.trace} "
+              f"({dp} replica process rows, shared simulated clock)")
+    ok = (divergent == 0 and (hit > 0 or not args.prefix_cache)
+          and (roles is None or s["handoff_requests"] > 0))
     return 0 if ok else 1
 
 
 def _serve_chaos(args, model, heads, requests) -> int:
     """The ``serve --chaos`` pass: a no-fault resilience baseline, then a
     seeded chaos run, and a token-exactness comparison between the two."""
-    from repro.faults import ResilienceConfig, chaos_plan
-    from repro.gpu import H100_80G
-    from repro.serving import EngineConfig, FlashInferBackend, ServingEngine
+    from repro.faults import chaos_plan
 
-    resil = ResilienceConfig(deadline=args.deadline, max_retries=args.max_retries)
-    cfg = EngineConfig(max_running=256, policy=args.policy)
-
-    baseline = ServingEngine(
-        model, FlashInferBackend(heads, H100_80G), H100_80G, cfg, resilience=resil
-    ).run(requests)
-
-    tracer = None
-    if args.trace:
-        from repro.obs import StepTracer
-
-        tracer = StepTracer()
-    chaos = ServingEngine(
-        model, FlashInferBackend(heads, H100_80G), H100_80G, cfg,
-        tracer=tracer, fault_plan=chaos_plan(args.chaos_seed), resilience=resil,
-    ).run(requests)
-
-    s = chaos.summary()
+    baseline = _engine(args, model, heads, resilient=True).run(requests)
     expected = {(t.req_id, t.gen_index): t.tokens for t in baseline.traces}
-    compared = [
-        t for t in chaos.traces if (t.req_id, t.gen_index) in expected
-    ]
-    divergent = sum(
-        1 for t in compared if t.tokens != expected[(t.req_id, t.gen_index)]
-    )
+    tracer = _tracer(args)
+    chaos = _engine(args, model, heads, resilient=True, tracer=tracer,
+                    fault_plan=chaos_plan(args.chaos_seed)).run(requests)
+    s = chaos.summary()
+    compared = [t for t in chaos.traces if (t.req_id, t.gen_index) in expected]
+    divergent = sum(1 for t in compared if t.tokens != expected[(t.req_id, t.gen_index)])
     print(f"\n  chaos (seed {args.chaos_seed}):")
-    print(
-        f"    faults_injected={int(s['faults_injected'])} "
-        f"kernel_faults={int(s['kernel_faults'])} "
-        f"checksum_failures={int(s['checksum_failures'])} "
-        f"alloc_faults={int(s['alloc_faults'])}"
-    )
-    print(
-        f"    retries={int(s['retries'])} sheds={int(s['sheds'])} "
-        f"degraded_steps={int(s['degraded_steps'])} "
-        f"watchdog_flags={int(s['watchdog_flags'])}"
-    )
-    print(
-        f"    token_divergence={divergent} "
-        f"({len(compared)} streams compared, {chaos.sheds} shed)"
-    )
+    print(f"    faults_injected={int(s['faults_injected'])} "
+          f"kernel_faults={int(s['kernel_faults'])} "
+          f"checksum_failures={int(s['checksum_failures'])} "
+          f"alloc_faults={int(s['alloc_faults'])}")
+    print(f"    retries={int(s['retries'])} sheds={int(s['sheds'])} "
+          f"degraded_steps={int(s['degraded_steps'])} "
+          f"watchdog_flags={int(s['watchdog_flags'])}")
+    print(f"    token_divergence={divergent} "
+          f"({len(compared)} streams compared, {chaos.sheds} shed)")
     if tracer is not None:
-        from repro.obs import summary_table, write_chrome_trace, write_csv
-
-        write_chrome_trace(
-            args.trace, tracer.events,
-            metadata={"model": model.name, "backend": "flashinfer",
-                      "requests": args.requests, "rate": args.rate,
-                      "chaos_seed": args.chaos_seed},
-            fault_events=tracer.fault_events,
-        )
-        print(f"\n  chaos trace → {args.trace} "
-              f"({len(tracer.fault_events)} fault events embedded)")
-        if args.trace_csv:
-            write_csv(args.trace_csv, tracer.events)
-            print(f"  step log    → {args.trace_csv}")
-        print("\n" + summary_table(tracer) + "\n")
+        _write_trace(args, model, tracer, "\n  chaos trace",
+                     f"{len(tracer.fault_events)} fault events embedded",
+                     chaos_seed=args.chaos_seed)
     return 0 if divergent == 0 else 1
 
 
@@ -619,94 +471,61 @@ def _serve_crash(args, model, heads, requests) -> int:
     kill/restore campaign (scripted deaths, plus seeded-random ones under
     ``--crash-rate``) recovered via snapshot + journal replay, and a
     token-exactness comparison between the two."""
-    from repro.faults import ResilienceConfig, chaos_plan
-    from repro.gpu import H100_80G
+    from repro.faults import chaos_plan
     from repro.serving import (
         CheckpointConfig, CheckpointStore, CrashHarness, DirectoryStore,
-        EngineConfig, FlashInferBackend, ServingEngine,
     )
 
-    resil = ResilienceConfig(deadline=args.deadline, max_retries=args.max_retries)
-    cfg = EngineConfig(max_running=256, policy=args.policy)
     every = args.checkpoint_every if args.checkpoint_every > 0 else 4
-
     # Uninterrupted baseline: same workload, same fault seed (when --chaos),
     # no deaths.  Every surviving stream must match it byte for byte.
-    baseline = ServingEngine(
-        model, FlashInferBackend(heads, H100_80G), H100_80G, cfg,
+    baseline = _engine(
+        args, model, heads, resilient=True,
         fault_plan=chaos_plan(args.chaos_seed) if args.chaos else None,
-        resilience=resil,
     ).run(requests)
     expected = {(t.req_id, t.gen_index): t.tokens for t in baseline.traces}
-
     store = DirectoryStore(args.journal) if args.journal else CheckpointStore()
     # One fault plan shared across process "lives" keeps the crash RNG
     # stream advanced past already-fired deaths (recovery rewinds every
     # other site stream to the snapshot).
     shared_plan = None
     if args.chaos or args.crash_rate > 0:
-        shared_plan = chaos_plan(
-            args.chaos_seed if args.chaos else 0, crash_rate=args.crash_rate
-        )
+        shared_plan = chaos_plan(args.chaos_seed if args.chaos else 0,
+                                 crash_rate=args.crash_rate)
         if not args.chaos:
             for site in ("kernel", "corrupt", "alloc", "straggler"):
                 shared_plan.disarm(site)
-    tracer = None
-    if args.trace:
-        from repro.obs import StepTracer
-
-        tracer = StepTracer()
+    tracer = _tracer(args)
 
     def factory():
-        return ServingEngine(
-            model, FlashInferBackend(heads, H100_80G), H100_80G, cfg,
-            tracer=tracer, fault_plan=shared_plan, resilience=resil,
-            checkpoint=CheckpointConfig(every_steps=every),
-            checkpoint_store=store,
-        )
+        return _engine(args, model, heads, resilient=True, tracer=tracer,
+                       fault_plan=shared_plan, checkpoint_store=store,
+                       checkpoint=CheckpointConfig(every_steps=every))
 
     # Alternate boundary and mid-step kills so any N >= 2 exercises both.
-    script = [
-        (3 + 4 * k, "mid-step" if k % 2 else "boundary") for k in range(args.crash)
-    ]
+    script = [(3 + 4 * k, "mid-step" if k % 2 else "boundary") for k in range(args.crash)]
     report = CrashHarness(
         factory, requests, store, crash_script=script, expected_tokens=expected
     ).run()
-
     s = report.metrics.summary()
-    phases = ", ".join(
-        f"{p}×{report.crash_phases.count(p)}"
-        for p in dict.fromkeys(report.crash_phases)
-    )
+    phases = ", ".join(f"{p}×{report.crash_phases.count(p)}"
+                       for p in dict.fromkeys(report.crash_phases))
     print(f"\n  kill/restore ({args.crash} scripted kills, "
           f"crash-rate {args.crash_rate}, snapshot every {every} steps):")
     print(f"    crashes={report.crashes} ({phases}) recoveries={report.recoveries}")
-    print(
-        f"    snapshots={int(s['ckpt_snapshots'])} "
-        f"journal_records={int(s['ckpt_journal_records'])} "
-        f"replayed_tokens={int(s['recover_replayed_tokens'])} "
-        f"resumed_streams={int(s['recover_resumed'])}"
-    )
-    print(
-        f"    token_divergence={report.token_divergence} "
-        f"({report.compared} streams compared vs uninterrupted baseline)"
-    )
+    print(f"    snapshots={int(s['ckpt_snapshots'])} "
+          f"journal_records={int(s['ckpt_journal_records'])} "
+          f"replayed_tokens={int(s['recover_replayed_tokens'])} "
+          f"resumed_streams={int(s['recover_resumed'])}")
+    print(f"    token_divergence={report.token_divergence} "
+          f"({report.compared} streams compared vs uninterrupted baseline)")
     if args.journal:
         print(f"    journal + snapshots → {args.journal}")
     if tracer is not None:
-        from repro.obs import write_chrome_trace
-
-        write_chrome_trace(
-            args.trace, tracer.events,
-            metadata={"model": model.name, "backend": "flashinfer",
-                      "requests": args.requests, "rate": args.rate,
-                      "crashes": report.crashes},
-            fault_events=tracer.fault_events,
-        )
-        print(f"    recovery trace → {args.trace} "
-              f"({len(tracer.fault_events)} fault events embedded)")
-    ok = report.token_divergence == 0 and report.crashes >= args.crash
-    return 0 if ok else 1
+        _write_trace(args, model, tracer, "    recovery trace",
+                     f"{len(tracer.fault_events)} fault events embedded",
+                     table=False, crashes=report.crashes)
+    return 0 if report.token_divergence == 0 and report.crashes >= args.crash else 1
 
 
 def _serve_recover(args, model, heads) -> int:
@@ -825,139 +644,67 @@ def main(argv=None) -> int:
     from repro.cluster.topology import TOPOLOGY_PRESETS
     from repro.serving.policy import available_policies
 
-    serve = sub.add_parser("serve", help="compare serving backends")
+    serve = sub.add_parser(
+        "serve", help="serve a workload, checked token-exact",
+        description="With no cluster flag, compare the FlashInfer, Triton and "
+        "TRT-LLM backends on one GPU.  Cluster flags compose into one cluster "
+        "run, checked token-exact against a single-GPU reference; flags that "
+        "need a single engine are refused on it (exit 2).",
+    )
     serve.add_argument("--requests", type=int, default=40)
     serve.add_argument("--rate", type=float, default=60.0)
     serve.add_argument("--seed", type=int, default=0)
-    serve.add_argument(
-        "--tp", type=int, default=1, metavar="N",
-        help="tensor-parallel shards per replica (must divide the model's "
-        "query heads); tp > 1 switches serve to the cluster path with a "
-        "token-exactness check against a single-GPU reference run",
-    )
-    serve.add_argument(
-        "--dp", type=int, default=1, metavar="M",
-        help="data-parallel replicas behind the cluster router; dp > 1 "
-        "also reports the throughput speedup over a dp=1 run",
-    )
-    serve.add_argument(
-        "--topology", default="nvlink", choices=sorted(TOPOLOGY_PRESETS),
-        help="interconnect preset used to price collectives on the "
-        "cluster path (default: nvlink)",
-    )
-    serve.add_argument(
-        "--router", default="round-robin",
-        help="routing policy for dp > 1; registered: "
-        f"{', '.join(available_routing_policies())} (default: round-robin)",
-    )
-    serve.add_argument(
-        "--policy", default="fcfs",
-        help="scheduling policy for the admitted prefill queue; registered: "
-        f"{', '.join(available_policies())} "
-        "(default: fcfs, token-exact with the classic engine)",
-    )
-    serve.add_argument(
-        "--trace", metavar="OUT.json", default=None,
-        help="record a step-level trace of the FlashInfer run and write "
-        "Chrome trace_event JSON (chrome://tracing / Perfetto)",
-    )
-    serve.add_argument(
-        "--trace-csv", metavar="OUT.csv", default=None, dest="trace_csv",
-        help="also write the per-step CSV log (requires --trace)",
-    )
-    serve.add_argument(
-        "--prefix-cache", action="store_true", dest="prefix_cache",
-        help="serve a shared-prefix workload cold and warm (radix prefix "
-        "cache + cascade attention), verify token-exactness against the "
-        "single-GPU reference, and report the prefill FLOPs and HBM bytes "
-        "saved (composes with --tp/--dp/--router)",
-    )
-    serve.add_argument(
-        "--chaos", action="store_true",
-        help="after the comparison, run the FlashInfer engine again under a "
-        "seeded fault plan (transient kernel faults, KV corruption, alloc "
-        "failures, stragglers) and verify token-exact recovery",
-    )
-    serve.add_argument(
-        "--chaos-seed", type=int, default=7, dest="chaos_seed",
-        help="seed for the chaos fault plan (default: 7)",
-    )
-    serve.add_argument(
-        "--deadline", type=float, default=None,
-        help="per-request deadline in seconds after arrival; expired "
-        "requests are shed (chaos/resilience runs only)",
-    )
-    serve.add_argument(
-        "--max-retries", type=int, default=3, dest="max_retries",
-        help="recompute retries per stream before it is shed (default: 3)",
-    )
-    serve.add_argument(
-        "--checkpoint-every", type=int, default=0, dest="checkpoint_every",
-        metavar="N",
-        help="snapshot the full engine state every N executed steps "
-        "(0 = off, the default: no journal writes, no snapshot copies)",
-    )
-    serve.add_argument(
-        "--journal", metavar="DIR", default=None,
-        help="persist snapshots and the write-ahead request journal to DIR "
-        "(atomic snap-*.json files + journal.jsonl); omit for in-memory",
-    )
-    serve.add_argument(
-        "--recover", action="store_true",
-        help="cold start: load the latest snapshot from --journal DIR, "
-        "verify its KV pages, replay the journal window and resume the "
-        "killed run to completion",
-    )
-    serve.add_argument(
-        "--crash", type=int, default=0, metavar="N",
-        help="kill/restore campaign: inject N scripted engine deaths "
-        "(alternating step-boundary and mid-step), recover each from the "
-        "latest snapshot + journal, and verify token-exactness against an "
-        "uninterrupted baseline (composes with --chaos)",
-    )
-    serve.add_argument(
-        "--crash-rate", type=float, default=0.0, dest="crash_rate",
-        metavar="P",
-        help="additionally arm seeded-random engine death at probability P "
-        "per step phase (requires --crash for the kill/restore harness)",
-    )
-    serve.add_argument(
-        "--overload", action="store_true",
-        help="overload drill: drive a bursty multi-tenant workload at a "
-        "multiple of cluster capacity through the tenant-aware front door, "
-        "circuit breakers, hedged prefill and the SLO-driven brownout "
-        "ladder (dp >= 2; accepted streams stay token-exact vs an "
-        "uncontended reference, and the run reports the SLO attainment "
-        "delta vs the same trace without the overload layer)",
-    )
-    serve.add_argument(
-        "--tenants", type=int, default=4,
-        help="tenant count for --overload: per-tenant token buckets at the "
-        "front door, weighted-fair admission (default: 4)",
-    )
-    serve.add_argument(
-        "--burst", type=float, default=3.0,
-        help="burst multiplier for --overload's arrival process: seeded "
-        "Poisson bursts at this multiple of the diurnal base rate "
-        "(default: 3.0)",
-    )
-    serve.add_argument(
-        "--disagg", default=None, metavar="prefill=N,decode=M",
-        help="disaggregated serving: partition the dp pool into dedicated "
-        "prefill and decode replicas; finished prompts hand their live KV "
-        "pages to a paired decode replica over priced handoff links "
-        "(checksummed chunks, bounded retry), and the resumed streams are "
-        "verified token-exact against a single-GPU reference",
-    )
-    serve.add_argument(
-        "--fail-replica", default=None, dest="fail_replica",
-        metavar="STEP[:crash|drain]",
-        help="cluster failover demo: kill (or drain, for planned scale-in) "
-        "replica 0 at engine step STEP with failover enabled — heartbeat "
-        "timeout detection, live KV migration to a healthy replica over "
-        "priced topology links, token-exact takeover resume (use with "
-        "--dp >= 2; dp=1 falls back to in-place recovery)",
-    )
+    serve.add_argument("--policy", default="fcfs", help="prefill-queue scheduling "
+                       f"policy: {', '.join(available_policies())} (default: fcfs)")
+    serve.add_argument("--trace", metavar="OUT.json", help="write a Chrome "
+                       "trace_event JSON of the FlashInfer run (a row per replica)")
+    serve.add_argument("--checkpoint-every", type=int, default=0,
+                       dest="checkpoint_every", metavar="N",
+                       help="snapshot engine state every N executed steps (0 = off)")
+    cluster = serve.add_argument_group("cluster flags (any mix composes)")
+    cluster.add_argument("--tp", type=int, default=1, metavar="N",
+                         help="tensor-parallel shards per replica")
+    cluster.add_argument("--dp", type=int, default=1, metavar="M", help="data-"
+                         "parallel replicas; a colocated dp > 1 run reports dp_speedup")
+    cluster.add_argument("--topology", default="nvlink", choices=sorted(TOPOLOGY_PRESETS),
+                         help="interconnect preset that prices collectives")
+    cluster.add_argument("--router", default="round-robin", help="routing policy: "
+                         f"{', '.join(available_routing_policies())}")
+    cluster.add_argument("--prefix-cache", action="store_true", dest="prefix_cache",
+                         help="shared-prefix workload on the radix cache and cascade "
+                         "attention, against a cold-cache control")
+    cluster.add_argument("--overload", action="store_true", help="bursty multi-tenant "
+                         "drill (dp >= 2) through the front door, breakers, hedging "
+                         "and brownout, against a control without them")
+    cluster.add_argument("--tenants", type=int, default=4,
+                         help="tenants for --overload (default: 4)")
+    cluster.add_argument("--burst", type=float, default=3.0,
+                         help="burst multiplier for --overload (default: 3.0)")
+    cluster.add_argument("--disagg", metavar="prefill=N,decode=M", help="split the "
+                         "dp pool into prefill and decode replicas with KV handoff")
+    cluster.add_argument("--fail-replica", dest="fail_replica",
+                         metavar="STEP[:crash|drain]", help="kill or drain replica 0 "
+                         "at engine step STEP under heartbeat failover")
+    single = serve.add_argument_group("single-engine flags")
+    single.add_argument("--chaos", action="store_true", help="rerun FlashInfer under "
+                        "a seeded fault plan and check token-exact recovery")
+    single.add_argument("--chaos-seed", type=int, default=7, dest="chaos_seed",
+                        help="seed for the chaos fault plan (default: 7)")
+    single.add_argument("--deadline", type=float, help="per-request deadline in "
+                        "seconds; expired requests are shed (--chaos/--crash)")
+    single.add_argument("--max-retries", type=int, default=3, dest="max_retries",
+                        help="recompute retries per stream before it is shed")
+    single.add_argument("--crash", type=int, default=0, metavar="N", help="inject N "
+                        "engine deaths, recover each from snapshot + journal")
+    single.add_argument("--crash-rate", type=float, default=0.0, dest="crash_rate",
+                        metavar="P", help="also die at random with probability P per "
+                        "step phase (needs --crash)")
+    single.add_argument("--journal", metavar="DIR", help="persist snapshots and the "
+                        "write-ahead journal to DIR (default: in memory)")
+    single.add_argument("--recover", action="store_true", help="resume the latest "
+                        "snapshot in --journal DIR to completion")
+    single.add_argument("--trace-csv", metavar="OUT.csv", dest="trace_csv",
+                        help="also write the per-step CSV log (needs --trace)")
 
     sub.add_parser("figures", help="how to regenerate the paper figures")
 

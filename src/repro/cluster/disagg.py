@@ -49,7 +49,9 @@ __all__ = [
 ]
 
 
-def parse_roles(roles, dp: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+def parse_roles(
+    roles, dp: Optional[int] = None
+) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
     """Normalize a role spec into ``(prefill_ids, decode_ids)``.
 
     Accepted spellings::
@@ -60,7 +62,8 @@ def parse_roles(roles, dp: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
 
     Size counts assign the first ``n_prefill`` replicas to the prefill
     pool and the rest to decode.  The pools must be disjoint, non-empty,
-    and together cover exactly ``range(dp)``.
+    and together cover exactly ``range(dp)``; ``dp=None`` takes the
+    cluster size from the pools themselves.
     """
     if isinstance(roles, str):
         spec: Dict[str, object] = {}
@@ -85,6 +88,7 @@ def parse_roles(roles, dp: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
     if isinstance(pf, int) and isinstance(dc, int):
         if pf < 1 or dc < 1:
             raise ValueError("each role pool needs at least one replica")
+        dp = pf + dc if dp is None else dp
         if pf + dc != dp:
             raise ValueError(
                 f"roles assign {pf}+{dc} replicas but the cluster has dp={dp}"
@@ -100,6 +104,7 @@ def parse_roles(roles, dp: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
             raise ValueError(
                 f"roles overlap: {sorted(set(prefill) & set(decode))}"
             )
+        dp = len(prefill) + len(decode) if dp is None else dp
         if set(prefill) | set(decode) != set(range(dp)):
             raise ValueError(
                 f"roles must cover every replica in range({dp}) exactly"

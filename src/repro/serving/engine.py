@@ -702,12 +702,12 @@ class ServingEngine:
             if step is not None:
                 # A None step means everything alloc-faulted away; the
                 # end-of-step resilience hooks below still run.
-                t0, t, attn = executor.execute(step, t)
+                t0, t = executor.execute(step, t)
                 if self._crash_armed:
                     # Mid-step death: the priced-but-unapplied step is
                     # lost, exactly like a process dying between kernels.
                     self._maybe_crash(t, "mid-step")
-                post.finalize(step, t0, t, attn)
+                post.finalize(step, t0, t)
                 self._steps_done += 1
                 if self.heartbeat is not None:
                     self.heartbeat(t)

@@ -35,27 +35,31 @@ class StepExecutor:
         self.state = state
         #: Host-observed extra latency from kernel retries this step.
         self.fault_penalty = 0.0
+        #: The last executed step's priced terms (see :meth:`_step_terms`).
+        self.terms: tuple = ()
         #: Backend that actually priced the last step (for kernel reports).
         self.step_backend = engine.backend
         self.step_degraded = False
 
-    def execute(self, plan: StepPlan, t: float) -> Tuple[float, float, float]:
+    def execute(self, plan: StepPlan, t: float) -> Tuple[float, float]:
         """Run ``plan``'s attention and advance time.
 
-        Returns ``(t_start, t_end, attn_per_layer)``.
+        Returns ``(t_start, t_end)``; the priced terms stay on
+        :attr:`terms` for the traced postprocess.
         """
         attn = self._attention(plan.formats, plan.decode, t, fallback_mapping=plan.mapping)
-        t_end = t + self._step_time(attn, plan.num_tokens, t)
+        self.terms = self._step_terms(attn, plan.num_tokens, t)
+        t_end = t + self._step_time(self.terms)
         ic = self.engine.interconnect
         if ic is not None:
             # Account this step's all-reduce traffic against the cluster
-            # interconnect (pricing happened inside _step_time).
+            # interconnect (pricing happened inside _step_terms).
             ic.charge_step(
                 plan.num_tokens,
                 self.engine.backend.characteristics.allreduce_efficiency,
                 t,
             )
-        return t, t_end, attn
+        return t, t_end
 
     # -- step-time assembly ---------------------------------------------------
 
@@ -73,47 +77,43 @@ class StepExecutor:
             )
         return ic.allreduce_per_layer(num_tokens, ch.allreduce_efficiency, t)
 
-    def _step_time(self, attn_per_layer: float, num_tokens: int, t: float = 0.0) -> float:
+    def _step_terms(self, attn_per_layer: float, num_tokens: int, t: float) -> tuple:
+        """Price one step once: ``(attention, gemm, allreduce)`` per layer,
+        then the LM head, backend launch overhead, scheduler overhead and
+        the host-observed kernel-retry penalty."""
         eng = self.engine
         m, cfg = eng.model, eng.config
         ch = eng.backend.characteristics
-        layer = (
-            attn_per_layer
-            + m.layer_nonattn_time(num_tokens, eng.gpu, ch.gemm_efficiency, cfg.tensor_parallel)
-            + self._allreduce_per_layer(num_tokens, t)
+        return (
+            attn_per_layer,
+            m.layer_nonattn_time(num_tokens, eng.gpu, ch.gemm_efficiency, cfg.tensor_parallel),
+            self._allreduce_per_layer(num_tokens, t),
+            m.lm_head_time(num_tokens, eng.gpu, ch.gemm_efficiency, cfg.tensor_parallel),
+            eng.backend.step_overhead(m.num_layers, eng.gpu),
+            cfg.scheduler_overhead,
+            self.fault_penalty,
         )
-        total = (
-            m.num_layers * layer
-            + m.lm_head_time(num_tokens, eng.gpu, ch.gemm_efficiency, cfg.tensor_parallel)
-            + eng.backend.step_overhead(m.num_layers, eng.gpu)
-            + cfg.scheduler_overhead
-        )
-        if self.fault_penalty:
-            total += self.fault_penalty  # host-observed kernel retries
+
+    def _step_time(self, terms: tuple) -> float:
+        attn, gemm, allreduce, lm_head, launch, sched, penalty = terms
+        total = self.engine.model.num_layers * (attn + gemm + allreduce) + lm_head + launch + sched
+        if penalty:
+            total += penalty
         return total
 
-    def _step_components(
-        self, attn_per_layer: float, num_tokens: int, t: float = 0.0
-    ) -> dict:
+    def _step_components(self, terms: tuple) -> dict:
         """The terms of :meth:`_step_time` itemized for tracing; the values
         sum to the step duration (same arithmetic, regrouped)."""
-        eng = self.engine
-        m, cfg = eng.model, eng.config
-        ch = eng.backend.characteristics
-        overhead = (
-            eng.backend.step_overhead(m.num_layers, eng.gpu) + cfg.scheduler_overhead
-        )
-        if self.fault_penalty:
-            overhead += self.fault_penalty
+        attn, gemm, allreduce, lm_head, launch, sched, penalty = terms
+        layers = self.engine.model.num_layers
+        overhead = launch + sched
+        if penalty:
+            overhead += penalty
         return {
-            "attention": m.num_layers * attn_per_layer,
-            "gemm": m.num_layers * m.layer_nonattn_time(
-                num_tokens, eng.gpu, ch.gemm_efficiency, cfg.tensor_parallel
-            ),
-            "allreduce": m.num_layers * self._allreduce_per_layer(num_tokens, t),
-            "lm_head": m.lm_head_time(
-                num_tokens, eng.gpu, ch.gemm_efficiency, cfg.tensor_parallel
-            ),
+            "attention": layers * attn,
+            "gemm": layers * gemm,
+            "allreduce": layers * allreduce,
+            "lm_head": lm_head,
             "overhead": overhead,
         }
 
@@ -221,7 +221,7 @@ class Postprocessor:
         self.state = state
         self.executor = executor
 
-    def finalize(self, plan: StepPlan, t0: float, t1: float, attn: float) -> None:
+    def finalize(self, plan: StepPlan, t0: float, t1: float) -> None:
         eng, st = self.engine, self.state
         cache, requests, streams = st.cache, st.requests, st.streams
         if plan.kind == "prefill":
@@ -245,7 +245,7 @@ class Postprocessor:
             streams.extend(plan.resumed)
         if eng._tracer is not None:
             self._emit_step(
-                plan.kind, t0, t1, attn, plan.num_prefill_tokens,
+                plan.kind, t0, t1, plan.num_prefill_tokens,
                 plan.num_decode_tokens, len(streams), cache,
                 st.metrics.preemptions - plan.preempt_before,
             )
@@ -338,8 +338,8 @@ class Postprocessor:
     # -- tracing ----------------------------------------------------------------
 
     def _emit_step(
-        self, kind, t_start, t_end, attn_per_layer, prefill_tokens,
-        decode_tokens, num_streams, cache, preemptions,
+        self, kind, t_start, t_end, prefill_tokens, decode_tokens,
+        num_streams, cache, preemptions,
     ) -> None:
         """Record one :class:`StepEvent`; called only when tracing is on."""
         eng, ex = self.engine, self.executor
@@ -352,9 +352,7 @@ class Postprocessor:
             num_prefill_tokens=prefill_tokens,
             num_decode_tokens=decode_tokens,
             num_streams=num_streams,
-            breakdown=ex._step_components(
-                attn_per_layer, prefill_tokens + decode_tokens, t_start
-            ),
+            breakdown=ex._step_components(ex.terms),
             kv_free_pages=cache.num_free_pages,
             kv_used_pages=cache.num_used_pages,
             preemptions=preemptions,

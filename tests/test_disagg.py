@@ -56,6 +56,9 @@ def test_parse_roles_spellings_agree():
     assert parse_roles({"prefill": [0], "decode": [1, 2]}, 3) == want
     # Explicit ids don't have to be contiguous.
     assert parse_roles({"prefill": [1], "decode": [0, 2]}, 3) == ((1,), (0, 2))
+    # Without a dp the pools size the cluster.
+    assert parse_roles("prefill=1,decode=2") == want
+    assert parse_roles({"prefill": [1], "decode": [0, 2]}) == ((1,), (0, 2))
 
 
 @pytest.mark.parametrize("roles, dp, match", [
@@ -66,6 +69,7 @@ def test_parse_roles_spellings_agree():
     ({"prefill": [], "decode": [0, 1]}, 2, "at least one"),
     ("prefill=1;decode=1", 2, "bad roles spec"),
     ({"prefill": 1, "dekode": 1}, 2, "exactly the"),
+    ({"prefill": [0], "decode": [2]}, None, "cover every replica"),
 ])
 def test_parse_roles_rejects_bad_specs(roles, dp, match):
     with pytest.raises(ValueError, match=match):
@@ -340,21 +344,3 @@ def test_workload_classes_recoverable_from_prompt_len():
     assert min(r.prompt_len for r in long_) >= 2048
     with pytest.raises(ValueError, match="straddle"):
         mixed_disagg_workload(4, 10.0, chatty_prompt_hi=600)
-
-
-# -- CLI smoke (the disagg-smoke CI contract) ----------------------------------
-
-
-def test_cli_serve_disagg_prints_greppable_counters(capsys):
-    from repro.__main__ import main
-
-    rc = main([
-        "serve", "--disagg", "prefill=1,decode=1",
-        "--requests", "8", "--rate", "80", "--seed", "3",
-    ])
-    out = capsys.readouterr().out
-    assert rc == 0
-    assert "token_divergence=0 " in out
-    assert "handoff_pages=" in out and "handoff_pages=0" not in out
-    assert "link_handoff_bytes=" in out
-    assert "p95_itl=" in out and "p95_ttft=" in out
