@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.core.jit import KernelTraits, get_kernel
 from repro.core.kernels import HeadConfig, run_mapping
-from repro.core.scheduler import SchedulePlan, WorkItem
+from repro.core.scheduler import MergeEntry, SchedulePlan, WorkItem
 from repro.core.variant import VANILLA, AttentionVariant
 from repro.gpu.cost import KernelCostModel, TileCost
 from repro.gpu.executor import PersistentKernelExecutor, SimReport
@@ -68,10 +68,14 @@ class FlashAttentionBaseline:
             return FA2_DECODE_TILE if decode else FA2_PREFILL_TILE
         return FA3_DECODE_TILE if decode else FA3_PREFILL_TILE
 
-    def _build_items(
+    def _build_plan(
         self, mapping: AttentionMapping, decode: bool
-    ) -> Tuple[List[WorkItem], int, int, int]:
-        """Enumerate grid blocks: (request, q tile, head, [split])."""
+    ) -> Tuple[SchedulePlan, int]:
+        """Enumerate grid blocks: (request, q tile, head, [split]).
+
+        Returns the blocks as a one-queue plan (a grid launch has no
+        per-CTA queues) and the split count.
+        """
         q_tile, kv_tile = self._tiles(decode)
         g = self.heads.group_size
         sched_q_tile = max(q_tile // g, 1)
@@ -89,6 +93,7 @@ class FlashAttentionBaseline:
             num_splits = 1
 
         items: List[WorkItem] = []
+        merges: List[MergeEntry] = []
         slot = 0
         for r in range(n_req):
             lq, lkv = int(qo_lens[r]), int(kv_lens[r])
@@ -100,18 +105,24 @@ class FlashAttentionBaseline:
                 for h in range(heads_dim):
                     if num_splits == 1 or lkv == 0:
                         items.append(WorkItem(0, r, t, q_start, q_rows, 0, lkv, h, -1))
-                    else:
-                        chunk = ceil_div(lkv, num_splits)
-                        for c in range(num_splits):
-                            k0 = c * chunk
-                            k1 = min(k0 + chunk, lkv)
-                            if k0 >= k1:
-                                continue
-                            items.append(
-                                WorkItem(0, r, t, q_start, q_rows, k0, k1, h, slot)
-                            )
-                            slot += 1
-        return items, sched_q_tile, kv_tile, num_splits
+                        continue
+                    chunk = ceil_div(lkv, num_splits)
+                    first = slot
+                    for c in range(num_splits):
+                        k0 = c * chunk
+                        k1 = min(k0 + chunk, lkv)
+                        if k0 >= k1:
+                            continue
+                        items.append(WorkItem(0, r, t, q_start, q_rows, k0, k1, h, slot))
+                        slot += 1
+                    merges.append(
+                        MergeEntry(0, r, q_start, q_rows, h, tuple(range(first, slot)))
+                    )
+        plan = SchedulePlan.from_queues(
+            [items], merges, num_partial_slots=max(slot, 1),
+            q_tile_size=sched_q_tile, kv_chunk_size=kv_tile,
+        )
+        return plan, num_splits
 
     def run(
         self,
@@ -129,19 +140,12 @@ class FlashAttentionBaseline:
         (ragged-dense) KV path; FA3 dense additionally uses TMA (no gather
         cost by construction here).
         """
-        items, sched_q_tile, kv_tile, num_splits = self._build_items(mapping, decode)
+        plan, num_splits = self._build_plan(mapping, decode)
+        sched_q_tile, kv_tile = plan.q_tile_size, plan.kv_chunk_size
         from repro.core.simulate import item_cost_arrays, simulate_grid
 
-        item_arr = np.asarray(
-            [
-                (w.mapping_idx, w.group, w.q_tile, w.q_start, w.q_rows,
-                 w.kv_start, w.kv_stop, w.kv_head, w.partial_slot)
-                for w in items
-            ],
-            dtype=np.int64,
-        ).reshape(len(items), 9)
         costs = item_cost_arrays(
-            item_arr, mapping, self.heads, kv_tile, self.kv_dtype, sched_q_tile,
+            plan.items, mapping, self.heads, kv_tile, self.kv_dtype, sched_q_tile,
             fuse_head_groups=True,
             uses_tensor_cores=sched_q_tile * self.heads.group_size >= 16,
             sparse_gather=sparse_gather,
@@ -154,7 +158,7 @@ class FlashAttentionBaseline:
             d = self.heads.head_dim
             g = self.heads.group_size
             rows = sched_q_tile * g
-            n_partials = sum(1 for w in items if w.partial_slot >= 0)
+            n_partials = plan.merge_slots.size
             red = TileCost(
                 flops=4.0 * rows * d,
                 padded_flops=4.0 * rows * d,
@@ -176,28 +180,10 @@ class FlashAttentionBaseline:
                 backend="fa2",
             )
             kernel = get_kernel(self.variant, traits)
-            n_slots = max(sum(1 for w in items if w.partial_slot >= 0), 1)
+            n_slots = plan.num_partial_slots
             rows_eff = sched_q_tile * self.heads.group_size
             partial_o = np.zeros((n_slots, rows_eff, self.heads.head_dim), dtype=np.float32)
             partial_lse = np.full((n_slots, rows_eff), -np.inf, dtype=np.float32)
-            from repro.core.scheduler import MergeEntry
-
-            merges: dict = {}
-            for w in items:
-                if w.partial_slot >= 0:
-                    merges.setdefault((w.group, w.q_tile, w.kv_head), []).append(w)
-            merge_entries = [
-                MergeEntry(
-                    0, key[0], ws[0].q_start, ws[0].q_rows, key[2],
-                    tuple(w.partial_slot for w in sorted(ws, key=lambda x: x.kv_start)),
-                )
-                for key, ws in merges.items()
-            ]
-            plan = SchedulePlan(
-                cta_queues=[items], merges=merge_entries,
-                num_partial_slots=n_slots, q_tile_size=sched_q_tile,
-                kv_chunk_size=kv_tile,
-            )
             run_mapping(
                 q, k_pool, v_pool, mapping, plan, kernel, self.heads,
                 self.variant.bind_params({}), 1.0 / np.sqrt(self.heads.head_dim),

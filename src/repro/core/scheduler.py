@@ -16,13 +16,20 @@ Tiles whose KV fits one chunk bypass the workspace and write straight to the
 final output (the *writethrough* optimization, Appendix D.2).
 
 The scheduler runs on CPU once per generation step; the plan is reusable
-across layers with the same sequence lengths (§3.3.1).
+across layers with the same sequence lengths (§3.3.1).  It is built with
+NumPy directly in the layout the wrapper copies into its workspace sections
+(a CTA-major work-item table, per-CTA offsets, merge metadata and merge
+slots), so planning creates no per-item Python objects; the
+:class:`WorkItem`/:class:`MergeEntry` lists of :attr:`SchedulePlan.cta_queues`
+and :attr:`SchedulePlan.merges` are views derived on first use.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import cached_property
+from operator import attrgetter
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -71,29 +78,193 @@ class MergeEntry:
     slots: Tuple[int, ...]
 
 
-@dataclass
-class SchedulePlan:
-    """The full plan for one kernel launch of one mapping."""
+#: Work-item table columns: the :class:`WorkItem` fields, in order.
+ITEM_FIELDS = len(fields(WorkItem))
+#: Merge table columns: the :class:`MergeEntry` fields before ``slots``.
+MERGE_FIELDS = len(fields(MergeEntry)) - 1
+COL_MAPPING, COL_GROUP, COL_QTILE, COL_QSTART, COL_QROWS = 0, 1, 2, 3, 4
+COL_KVSTART, COL_KVSTOP, COL_KVHEAD, COL_SLOT = 5, 6, 7, 8
 
-    cta_queues: List[List[WorkItem]]
-    merges: List[MergeEntry]
+#: Work-item table columns that make up a merge table row.
+_MERGE_COLS = [COL_MAPPING, COL_GROUP, COL_QSTART, COL_QROWS, COL_KVHEAD]
+
+_item_row = attrgetter(*(f.name for f in fields(WorkItem)))
+_merge_row = attrgetter(*(f.name for f in fields(MergeEntry)[:MERGE_FIELDS]))
+
+
+def _indptr(counts) -> np.ndarray:
+    """CSR offsets ``[0, c0, c0 + c1, ...]`` of per-row counts."""
+    out = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=out[1:])
+    return out
+
+
+@dataclass(eq=False)
+class SchedulePlan:
+    """The full plan for one kernel launch of one mapping, as the workspace
+    stores it.
+
+    ``items`` is the ``(n, ITEM_FIELDS)`` work-item table (columns in
+    :class:`WorkItem` field order) in CTA-major order: CTA ``c`` drains rows
+    ``cta_indptr[c]:cta_indptr[c + 1]`` in order.  Merge entry ``i``
+    contracts partial slots ``merge_slots[merge_indptr[i]:merge_indptr[i +
+    1]]`` into the tile ``merge_meta[i]`` (mapping, group, q_start, q_rows,
+    kv_head).
+    """
+
+    items: np.ndarray
+    cta_indptr: np.ndarray
+    merge_meta: np.ndarray
+    merge_indptr: np.ndarray
+    merge_slots: np.ndarray
     num_partial_slots: int
     q_tile_size: int
     kv_chunk_size: int
 
+    @classmethod
+    def from_queues(
+        cls,
+        cta_queues: Sequence[Sequence[WorkItem]],
+        merges: Sequence[MergeEntry],
+        num_partial_slots: int,
+        q_tile_size: int,
+        kv_chunk_size: int,
+    ) -> "SchedulePlan":
+        """Build a plan from hand-made per-CTA queues and merge entries."""
+        items = [_item_row(w) for q in cta_queues for w in q]
+        return cls(
+            items=np.asarray(items, dtype=np.int64).reshape(len(items), ITEM_FIELDS),
+            cta_indptr=_indptr([len(q) for q in cta_queues]),
+            merge_meta=np.asarray(
+                [_merge_row(m) for m in merges], dtype=np.int64
+            ).reshape(len(merges), MERGE_FIELDS),
+            merge_indptr=_indptr([len(m.slots) for m in merges]),
+            merge_slots=np.asarray([s for m in merges for s in m.slots], dtype=np.int64),
+            num_partial_slots=num_partial_slots,
+            q_tile_size=q_tile_size,
+            kv_chunk_size=kv_chunk_size,
+        )
+
+    @cached_property
+    def cta_queues(self) -> List[List[WorkItem]]:
+        """Per-CTA :class:`WorkItem` queues (a view of ``items``)."""
+        rows = self.items.tolist()
+        bounds = self.cta_indptr.tolist()
+        return [[WorkItem(*r) for r in rows[a:b]] for a, b in zip(bounds, bounds[1:])]
+
+    @cached_property
+    def merges(self) -> List[MergeEntry]:
+        """:class:`MergeEntry` list (a view of the merge tables)."""
+        slots = self.merge_slots.tolist()
+        bounds = self.merge_indptr.tolist()
+        return [
+            MergeEntry(*meta, tuple(slots[a:b]))
+            for meta, a, b in zip(self.merge_meta.tolist(), bounds, bounds[1:])
+        ]
+
     @property
     def num_work_items(self) -> int:
-        return sum(len(q) for q in self.cta_queues)
+        return len(self.items)
+
+    def cta_costs(self) -> np.ndarray:
+        """Per-CTA modelled cost ``Σ α·q_rows + β·kv_len`` (float64)."""
+        cost = DEFAULT_ALPHA * self.items[:, COL_QROWS] + DEFAULT_BETA * (
+            self.items[:, COL_KVSTOP] - self.items[:, COL_KVSTART]
+        )
+        # Costs are integer-valued, so these float sums are exact.
+        csum = np.concatenate(([0.0], np.cumsum(cost)))
+        return csum[self.cta_indptr[1:]] - csum[self.cta_indptr[:-1]]
 
     @property
     def load_balance(self) -> float:
         """Mean/max of per-CTA modelled cost (1.0 = perfect balance)."""
-        costs = [
-            sum(DEFAULT_ALPHA * w.q_rows + DEFAULT_BETA * w.kv_len for w in q)
-            for q in self.cta_queues
-        ]
-        mx = max(costs) if costs else 0.0
-        return (sum(costs) / (len(costs) * mx)) if mx > 0 else 1.0
+        costs = self.cta_costs()
+        mx = float(costs.max()) if costs.size else 0.0
+        return (float(costs.sum()) / (costs.size * mx)) if mx > 0 else 1.0
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SchedulePlan):
+            return NotImplemented
+        return (
+            (self.num_partial_slots, self.q_tile_size, self.kv_chunk_size)
+            == (other.num_partial_slots, other.q_tile_size, other.kv_chunk_size)
+            and all(
+                np.array_equal(getattr(self, name), getattr(other, name))
+                for name in (
+                    "items", "cta_indptr", "merge_meta", "merge_indptr", "merge_slots",
+                )
+            )
+        )
+
+
+def _enumerate(
+    qo_lens: np.ndarray,
+    kv_lens: np.ndarray,
+    q_tile_size: int,
+    num_kv_heads: int,
+    mapping_idx: int,
+    l_kv: int,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Step 4: the work-item table in creation order, plus its merges.
+
+    Creation order is (group, query tile, KV head, KV chunk).  A
+    (tile, head) *unit* whose KV spans more than one chunk gets one partial
+    slot per chunk, numbered consecutively in creation order, and one merge
+    entry; merges are in creation order too, so the merge slots are simply
+    ``0 .. num_partial_slots - 1``.  Returns ``(items, merge_meta,
+    merge_indptr)``.
+    """
+    n_tiles = np.where(qo_lens > 0, -(-qo_lens // q_tile_size), 0)
+    n_chunks = np.maximum(-(-kv_lens // l_kv), 1)
+
+    # One row per (group, tile, head) unit; the KV columns are filled per item.
+    per_group = n_tiles * num_kv_heads
+    u_group = np.repeat(np.arange(qo_lens.size), per_group)
+    u_local = np.arange(u_group.size) - np.repeat(np.cumsum(per_group) - per_group, per_group)
+    units = np.empty((u_group.size, ITEM_FIELDS), dtype=np.int64)
+    units[:, COL_MAPPING] = mapping_idx
+    units[:, COL_GROUP] = u_group
+    units[:, COL_QTILE], units[:, COL_KVHEAD] = np.divmod(u_local, num_kv_heads)
+    units[:, COL_QSTART] = units[:, COL_QTILE] * q_tile_size
+    units[:, COL_QROWS] = np.minimum(q_tile_size, qo_lens[u_group] - units[:, COL_QSTART])
+    u_chunks = n_chunks[u_group]
+
+    i_unit = np.repeat(np.arange(u_group.size), u_chunks)
+    items = units[i_unit]
+    kv_start = (np.arange(i_unit.size) - np.repeat(np.cumsum(u_chunks) - u_chunks, u_chunks)) * l_kv
+    items[:, COL_KVSTART] = kv_start
+    items[:, COL_KVSTOP] = np.minimum(kv_start + l_kv, kv_lens[items[:, COL_GROUP]])
+    split = u_chunks[i_unit] > 1
+    items[:, COL_SLOT] = np.where(split, np.cumsum(split) - 1, -1)
+
+    merged = np.flatnonzero(u_chunks > 1)
+    merge_meta = units[np.ix_(merged, _MERGE_COLS)]
+    return items, merge_meta, _indptr(u_chunks[merged])
+
+
+def _plan(
+    items: np.ndarray,
+    order: np.ndarray,
+    cta: Sequence[int],
+    num_ctas: int,
+    merge_meta: np.ndarray,
+    merge_indptr: np.ndarray,
+    q_tile_size: int,
+    kv_chunk_size: int,
+) -> SchedulePlan:
+    """Lay ``items`` out CTA-major: item ``order[k]`` went to CTA ``cta[k]``."""
+    cta = np.asarray(cta, dtype=np.int64)
+    num_partial_slots = int(merge_indptr[-1])
+    return SchedulePlan(
+        items=items[order[np.argsort(cta, kind="stable")]],
+        cta_indptr=_indptr(np.bincount(cta, minlength=num_ctas)),
+        merge_meta=merge_meta,
+        merge_indptr=merge_indptr,
+        merge_slots=np.arange(num_partial_slots, dtype=np.int64),
+        num_partial_slots=num_partial_slots,
+        q_tile_size=q_tile_size,
+        kv_chunk_size=kv_chunk_size,
+    )
 
 
 def plan_schedule(
@@ -155,77 +326,48 @@ def plan_schedule(
     else:
         l_kv = max(int(kv_lens.max(initial=0)), 1)
 
-    if q_pos_offset is None:
-        q_pos_offset = kv_lens - qo_lens
-    else:
-        q_pos_offset = np.asarray(q_pos_offset, dtype=np.int64)
-    if kv_pos_offset is None:
-        kv_pos_offset = np.zeros(qo_lens.size, dtype=np.int64)
-    else:
-        kv_pos_offset = np.asarray(kv_pos_offset, dtype=np.int64)
-
-    def visible_kv(w: WorkItem) -> int:
-        """KV positions the item actually computes over (causal-aware)."""
-        if not causal:
-            return w.kv_len
-        last_q_pos = int(q_pos_offset[w.group]) + w.q_start + w.q_rows - 1
-        vis_end = last_q_pos - int(kv_pos_offset[w.group]) + 1
-        return int(np.clip(vis_end - w.kv_start, 0, w.kv_len))
-
     # Step 4: enumerate work items, assigning partial slots to split tiles.
-    items: List[WorkItem] = []
-    merges: List[MergeEntry] = []
-    next_slot = 0
-    for g in range(qo_lens.size):
-        lq, lkv = int(qo_lens[g]), int(kv_lens[g])
-        if lq == 0:
-            continue
-        n_tiles = ceil_div(lq, q_tile_size)
-        n_chunks = max(ceil_div(lkv, l_kv), 1)
-        for t in range(n_tiles):
-            q_start = t * q_tile_size
-            q_rows = min(q_tile_size, lq - q_start)
-            for h in range(num_kv_heads):
-                if n_chunks == 1 or lkv == 0:
-                    items.append(
-                        WorkItem(mapping_idx, g, t, q_start, q_rows, 0, lkv, h, -1)
-                    )
-                    continue
-                slots = []
-                for c in range(n_chunks):
-                    k0 = c * l_kv
-                    k1 = min(k0 + l_kv, lkv)
-                    items.append(
-                        WorkItem(
-                            mapping_idx, g, t, q_start, q_rows, k0, k1, h, next_slot
-                        )
-                    )
-                    slots.append(next_slot)
-                    next_slot += 1
-                merges.append(
-                    MergeEntry(mapping_idx, g, q_start, q_rows, h, tuple(slots))
-                )
+    items, merge_meta, merge_indptr = _enumerate(
+        qo_lens, kv_lens, q_tile_size, num_kv_heads, mapping_idx, l_kv
+    )
+    q_rows = items[:, COL_QROWS]
+    kv_start = items[:, COL_KVSTART]
+    weight = items[:, COL_KVSTOP] - kv_start
+    if causal:
+        # KV positions each item actually computes over: those up to its
+        # tile's last query position.
+        q_pos = kv_lens - qo_lens if q_pos_offset is None else np.asarray(
+            q_pos_offset, dtype=np.int64
+        )
+        group = items[:, COL_GROUP]
+        vis_end = q_pos[group] + items[:, COL_QSTART] + q_rows
+        if kv_pos_offset is not None:
+            vis_end = vis_end - np.asarray(kv_pos_offset, dtype=np.int64)[group]
+        weight = np.minimum(np.maximum(vis_end - kv_start, 0), weight)
 
     # Step 5: longest-first order (stable: ties broken by creation order).
-    weights = [visible_kv(w) for w in items]
-    order = sorted(range(len(items)), key=lambda i: (-weights[i], i))
+    order = np.argsort(-weight, kind="stable")
 
-    # Steps 6-13: min-cost priority queue over CTAs.
-    queues: List[List[WorkItem]] = [[] for _ in range(num_ctas)]
-    heap: List[Tuple[float, int]] = [(0.0, c) for c in range(num_ctas)]
-    heapq.heapify(heap)
-    for i in order:
-        w = items[i]
-        current_cost, c = heapq.heappop(heap)
-        queues[c].append(w)
-        heapq.heappush(heap, (current_cost + alpha * w.q_rows + beta * weights[i], c))
+    # Steps 6-13: min-cost priority queue over CTAs, ties to the lower CTA.
+    q_cost = alpha * q_rows[order]
+    kv_cost = beta * weight[order]
+    # While idle (zero-cost) CTAs remain, the heap pops them in index order,
+    # as long as every CTA it has already fed costs more than zero.
+    first = (0.0 + q_cost[:num_ctas]) + kv_cost[:num_ctas]
+    n_first = first.size if (first > 0).all() else int(np.argmin(first > 0))
+    cta: List[int] = list(range(n_first))
+    if n_first < len(order):
+        heap = list(zip(first[:n_first].tolist(), cta))
+        heap += [(0.0, c) for c in range(n_first, num_ctas)]
+        heapq.heapify(heap)
+        replace = heapq.heapreplace
+        for q, kv in zip(q_cost[n_first:].tolist(), kv_cost[n_first:].tolist()):
+            current_cost, c = heap[0]
+            replace(heap, (current_cost + q + kv, c))
+            cta.append(c)
 
-    return SchedulePlan(
-        cta_queues=queues,
-        merges=merges,
-        num_partial_slots=next_slot,
-        q_tile_size=q_tile_size,
-        kv_chunk_size=l_kv,
+    return _plan(
+        items, order, cta, num_ctas, merge_meta, merge_indptr, q_tile_size, l_kv
     )
 
 
@@ -286,23 +428,12 @@ def plan_unbalanced(
     """
     qo_lens = np.asarray(qo_lens, dtype=np.int64)
     kv_lens = np.asarray(kv_lens, dtype=np.int64)
-    items: List[WorkItem] = []
-    for g in range(qo_lens.size):
-        lq, lkv = int(qo_lens[g]), int(kv_lens[g])
-        if lq == 0:
-            continue
-        for t in range(ceil_div(lq, q_tile_size)):
-            q_start = t * q_tile_size
-            q_rows = min(q_tile_size, lq - q_start)
-            for h in range(num_kv_heads):
-                items.append(WorkItem(mapping_idx, g, t, q_start, q_rows, 0, lkv, h, -1))
-    queues: List[List[WorkItem]] = [[] for _ in range(num_ctas)]
-    for i, w in enumerate(items):
-        queues[i % num_ctas].append(w)
-    return SchedulePlan(
-        cta_queues=queues,
-        merges=[],
-        num_partial_slots=0,
-        q_tile_size=q_tile_size,
-        kv_chunk_size=max(int(kv_lens.max(initial=0)), 1),
+    l_kv = max(int(kv_lens.max(initial=0)), 1)
+    items, merge_meta, merge_indptr = _enumerate(
+        qo_lens, kv_lens, q_tile_size, num_kv_heads, mapping_idx, l_kv
+    )
+    order = np.arange(len(items))
+    return _plan(
+        items, order, order % num_ctas, num_ctas, merge_meta, merge_indptr,
+        q_tile_size, l_kv,
     )

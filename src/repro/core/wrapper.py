@@ -29,9 +29,9 @@ from repro.core.kernels import (
     run_mapping,
 )
 from repro.core.scheduler import (
-    MergeEntry,
+    ITEM_FIELDS,
+    MERGE_FIELDS,
     SchedulePlan,
-    WorkItem,
     plan_schedule,
     plan_signature,
 )
@@ -49,9 +49,6 @@ from repro.core.state import merge_states
 from repro.utils.dtypes import StorageDType
 
 _wrapper_counter = itertools.count()
-
-_ITEM_FIELDS = 9  # mapping, group, q_tile, q_start, q_rows, kv_start, kv_stop, kv_head, slot
-_MERGE_FIELDS = 5  # mapping, group, q_start, q_rows, kv_head
 
 
 class BatchAttentionWrapper:
@@ -202,9 +199,9 @@ class BatchAttentionWrapper:
         max_items = max_tiles + max_slots
         ws = self.workspace
         ws.allocate_section(self._section("counts"), 8 * 8)
-        ws.allocate_section(self._section("work_items"), max_items * _ITEM_FIELDS * 8)
+        ws.allocate_section(self._section("work_items"), max_items * ITEM_FIELDS * 8)
         ws.allocate_section(self._section("cta_indptr"), (self.num_ctas + 1) * 8)
-        ws.allocate_section(self._section("merge_meta"), max_slots * _MERGE_FIELDS * 8)
+        ws.allocate_section(self._section("merge_meta"), max_slots * MERGE_FIELDS * 8)
         ws.allocate_section(self._section("merge_indptr"), (max_slots + 1) * 8)
         ws.allocate_section(self._section("merge_slots"), max_slots * 8)
         d = self.heads.head_dim
@@ -273,7 +270,7 @@ class BatchAttentionWrapper:
                 f"max_batch_size/max_total_qo (Appendix D.3)"
             )
         item_capacity = self.workspace.section(self._section("work_items")).nbytes // (
-            _ITEM_FIELDS * 8
+            ITEM_FIELDS * 8
         )
         if plan.num_work_items > item_capacity:
             raise ValueError(
@@ -291,34 +288,9 @@ class BatchAttentionWrapper:
         return plan
 
     def _write_plan(self, plan: SchedulePlan) -> None:
-        items: List[WorkItem] = [w for q in plan.cta_queues for w in q]
-        cta_indptr = np.zeros(self.num_ctas + 1, dtype=np.int64)
-        np.cumsum([len(q) for q in plan.cta_queues], out=cta_indptr[1:])
-        item_arr = np.asarray(
-            [
-                (
-                    w.mapping_idx, w.group, w.q_tile, w.q_start, w.q_rows,
-                    w.kv_start, w.kv_stop, w.kv_head, w.partial_slot,
-                )
-                for w in items
-            ],
-            dtype=np.int64,
-        ).reshape(len(items), _ITEM_FIELDS)
-        merge_meta = np.asarray(
-            [
-                (m.mapping_idx, m.group, m.q_start, m.q_rows, m.kv_head)
-                for m in plan.merges
-            ],
-            dtype=np.int64,
-        ).reshape(len(plan.merges), _MERGE_FIELDS)
-        merge_indptr = np.zeros(len(plan.merges) + 1, dtype=np.int64)
-        np.cumsum([len(m.slots) for m in plan.merges], out=merge_indptr[1:])
-        merge_slots = np.asarray(
-            [s for m in plan.merges for s in m.slots], dtype=np.int64
-        )
         counts = np.asarray(
             [
-                len(items), len(plan.merges), merge_slots.size,
+                plan.num_work_items, len(plan.merge_meta), plan.merge_slots.size,
                 plan.num_partial_slots, plan.q_tile_size, plan.kv_chunk_size,
                 0, 0,
             ],
@@ -326,48 +298,28 @@ class BatchAttentionWrapper:
         )
         ws = self.workspace
         ws.write(self._section("counts"), counts)
-        if item_arr.size:
-            ws.write(self._section("work_items"), item_arr)
-        ws.write(self._section("cta_indptr"), cta_indptr)
-        if merge_meta.size:
-            ws.write(self._section("merge_meta"), merge_meta)
-        ws.write(self._section("merge_indptr"), merge_indptr)
-        if merge_slots.size:
-            ws.write(self._section("merge_slots"), merge_slots)
+        ws.write(self._section("work_items"), plan.items)
+        ws.write(self._section("cta_indptr"), plan.cta_indptr)
+        ws.write(self._section("merge_meta"), plan.merge_meta)
+        ws.write(self._section("merge_indptr"), plan.merge_indptr)
+        ws.write(self._section("merge_slots"), plan.merge_slots)
 
     def _read_plan(self) -> SchedulePlan:
         """Reconstruct the plan from workspace contents (the kernel's view)."""
         ws = self.workspace
-        counts = ws.read(self._section("counts"), np.int64, 8)
         n_items, n_merges, n_slots, n_partial, q_tile_size, kv_chunk = (
-            int(counts[0]), int(counts[1]), int(counts[2]), int(counts[3]),
-            int(counts[4]), int(counts[5]),
+            ws.read(self._section("counts"), np.int64, 6).tolist()
         )
-        item_arr = ws.read(
-            self._section("work_items"), np.int64, n_items * _ITEM_FIELDS
-        ).reshape(n_items, _ITEM_FIELDS)
-        cta_indptr = ws.read(self._section("cta_indptr"), np.int64, self.num_ctas + 1)
-        queues: List[List[WorkItem]] = []
-        for c in range(self.num_ctas):
-            queues.append(
-                [WorkItem(*row) for row in item_arr[cta_indptr[c] : cta_indptr[c + 1]]]
-            )
-        merge_meta = ws.read(
-            self._section("merge_meta"), np.int64, n_merges * _MERGE_FIELDS
-        ).reshape(n_merges, _MERGE_FIELDS)
-        merge_indptr = ws.read(self._section("merge_indptr"), np.int64, n_merges + 1)
-        merge_slots = ws.read(self._section("merge_slots"), np.int64, n_slots)
-        merges = [
-            MergeEntry(
-                int(merge_meta[i, 0]), int(merge_meta[i, 1]), int(merge_meta[i, 2]),
-                int(merge_meta[i, 3]), int(merge_meta[i, 4]),
-                tuple(int(s) for s in merge_slots[merge_indptr[i] : merge_indptr[i + 1]]),
-            )
-            for i in range(n_merges)
-        ]
         return SchedulePlan(
-            cta_queues=queues,
-            merges=merges,
+            items=ws.read(
+                self._section("work_items"), np.int64, n_items * ITEM_FIELDS
+            ).reshape(n_items, ITEM_FIELDS),
+            cta_indptr=ws.read(self._section("cta_indptr"), np.int64, self.num_ctas + 1),
+            merge_meta=ws.read(
+                self._section("merge_meta"), np.int64, n_merges * MERGE_FIELDS
+            ).reshape(n_merges, MERGE_FIELDS),
+            merge_indptr=ws.read(self._section("merge_indptr"), np.int64, n_merges + 1),
+            merge_slots=ws.read(self._section("merge_slots"), np.int64, n_slots),
             num_partial_slots=n_partial,
             q_tile_size=q_tile_size,
             kv_chunk_size=kv_chunk,
@@ -391,8 +343,8 @@ class BatchAttentionWrapper:
         counts = ws.read(self._section("counts"), np.int64, 8)
         n_items, n_merges = int(counts[0]), int(counts[1])
         item_arr = ws.read(
-            self._section("work_items"), np.int64, n_items * _ITEM_FIELDS
-        ).reshape(n_items, _ITEM_FIELDS)
+            self._section("work_items"), np.int64, n_items * ITEM_FIELDS
+        ).reshape(n_items, ITEM_FIELDS)
         cta_indptr = ws.read(self._section("cta_indptr"), np.int64, self.num_ctas + 1)
         cta_of_item = np.repeat(np.arange(self.num_ctas), np.diff(cta_indptr))
         g_eff = self.heads.group_size if self.fuse_head_groups else 1
@@ -406,8 +358,8 @@ class BatchAttentionWrapper:
         report = simulate_queues(self.executor, costs, cta_of_item, self.num_ctas)
         if n_merges:
             merge_meta = ws.read(
-                self._section("merge_meta"), np.int64, n_merges * _MERGE_FIELDS
-            ).reshape(n_merges, _MERGE_FIELDS)
+                self._section("merge_meta"), np.int64, n_merges * MERGE_FIELDS
+            ).reshape(n_merges, MERGE_FIELDS)
             merge_indptr = ws.read(self._section("merge_indptr"), np.int64, n_merges + 1)
             mcosts = merge_cost_arrays(
                 np.diff(merge_indptr), merge_meta[:, 3] * g_eff,

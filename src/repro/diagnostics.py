@@ -42,15 +42,7 @@ def format_report(report: SimReport, spec: Optional[GPUSpec] = None) -> str:
 def format_plan_load(plan: SchedulePlan, buckets: int = 16) -> str:
     """ASCII histogram of the *modelled* per-CTA cost of a plan
     (Algorithm 1's α·l_q + β·l_kv weights)."""
-    from repro.core.scheduler import DEFAULT_ALPHA, DEFAULT_BETA
-
-    costs = np.asarray(
-        [
-            sum(DEFAULT_ALPHA * w.q_rows + DEFAULT_BETA * w.kv_len for w in queue)
-            for queue in plan.cta_queues
-        ],
-        dtype=np.float64,
-    )
+    costs = plan.cta_costs()
     if costs.size == 0 or costs.max() <= 0:
         return "(empty plan)"
     lines = []

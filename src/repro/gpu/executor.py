@@ -267,8 +267,8 @@ class PersistentKernelExecutor:
             rem_s[s_live] -= dt
             if n_mem:
                 rem_m[mem_active] -= bw * dt
-            np.clip(rem_s, 0.0, None, out=rem_s)
-            np.clip(rem_m, 0.0, None, out=rem_m)
+            np.maximum(rem_s, 0.0, out=rem_s)
+            np.maximum(rem_m, 0.0, out=rem_m)
             done = active & (rem_s <= _EPS) & (rem_m <= _EPS)
             finish[done] = t
             active &= ~done
@@ -312,8 +312,8 @@ class PersistentKernelExecutor:
             run_s[s_live] -= dt
             if n_mem:
                 run_m[mem_active] -= bw * dt
-            np.clip(run_s, 0.0, None, out=run_s)
-            np.clip(run_m, 0.0, None, out=run_m)
+            np.maximum(run_s, 0.0, out=run_s)
+            np.maximum(run_m, 0.0, out=run_m)
             done = occupied & (run_s <= _EPS) & (run_m <= _EPS)
             for i in np.nonzero(done)[0]:
                 slot_busy[i] = t
